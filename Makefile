@@ -5,8 +5,8 @@ TELEMETRY_DEMO_OUT ?= telemetry-demo
 PROFILE_OUT ?= profiles
 FABRIC_ADDR ?= 127.0.0.1:9178
 FABRIC_TMP := $(shell mktemp -u /tmp/fabric-smoke.XXXXXX)
-BENCH_JSON ?= BENCH_PR9.json
-BENCH_BASELINE ?= BENCH_PR9.json
+BENCH_JSON ?= BENCH_PR12.json
+BENCH_BASELINE ?= BENCH_PR12.json
 BENCH_DIFF_JSON := $(shell mktemp -u /tmp/bench-diff.XXXXXX.json)
 OBS_DEMO_ADDR ?= 127.0.0.1:9177
 
@@ -22,7 +22,7 @@ check: lint build race smoke bench-smoke
 	-$(MAKE) bench-diff
 
 # lint is all static analysis: go vet plus the repository's own analyzers
-# (determinism, seedflow, paniclint, laneowner, hotpath, publish — see
+# (determinism, seedflow, paniclint, hotpath, publish — see
 # internal/lint). The -max-elapsed budget keeps the from-source typecheck
 # fast enough to live in the edit-check loop; raise NOCLINT_BUDGET if a
 # slow machine trips it.
@@ -133,8 +133,8 @@ telemetry-demo:
 	@echo "artifacts in $(TELEMETRY_DEMO_OUT)/{bottom,diamond}/{series.jsonl,heatmap.csv,trace.json}"
 
 # bench-json measures the headline cycle-kernel benchmarks — full-GPU cycle
-# under the active-set and reference steppers, the 16×16 large mesh at each
-# worker count, plus the saturated router step — as 8 fixed-iteration runs
+# under the active-set and reference steppers, the 16×16 large mesh, plus
+# the saturated router step — as 8 fixed-iteration runs
 # each, and writes the min/median/max summary to $(BENCH_JSON) via
 # cmd/benchjson. Fixed iterations + medians make the file meaningful to
 # diff between commits on the same machine.

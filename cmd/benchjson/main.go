@@ -51,9 +51,8 @@ type Benchmark struct {
 // Report is the whole artifact. Context lines (goos/goarch/pkg/cpu) are
 // carried through so a diff that spans machines is visibly apples-to-
 // oranges. GOMAXPROCS and NumCPU are stamped from the converting process —
-// which runs on the same machine as the benchmark — because parallel-kernel
-// numbers (-workers) measured with one core are not comparable to numbers
-// measured with many.
+// which runs on the same machine as the benchmark — because numbers
+// measured with one core are not comparable to numbers measured with many.
 type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`

@@ -4,9 +4,8 @@
 // (no wall clocks, no math/rand, no map iteration in simulation packages),
 // seed provenance (every rng.Stream comes from rng.New/Split and stays
 // goroutine-local), panic hygiene (package-prefixed messages or Must*
-// constructors only), and the semantic safety contracts — lane ownership in
-// the parallel kernel (laneowner), zero-allocation hot paths (hotpath), and
-// frozen published buffers (publish).
+// constructors only), and the semantic safety contracts — zero-allocation
+// hot paths (hotpath) and frozen published buffers (publish).
 //
 // Usage:
 //

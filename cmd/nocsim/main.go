@@ -84,10 +84,6 @@ func main() {
 		os.Exit(code)
 	}
 
-	for _, w := range cfg.Warnings() {
-		fmt.Fprintln(os.Stderr, w)
-	}
-
 	prof, err := workload.Get(*bench)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

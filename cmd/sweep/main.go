@@ -47,7 +47,7 @@ func main() {
 	var (
 		specFile = flag.String("spec", "", "JSON sweep spec file (grid flags are ignored when set)")
 		out      = flag.String("out", "sweep.jsonl", "JSONL results file (appended)")
-		jobsN    = flag.Int("jobs", 0, "concurrent jobs (default GOMAXPROCS); -workers is the per-job cycle-kernel domain count")
+		jobsN    = flag.Int("jobs", 0, "concurrent jobs (default GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 0, "per-job timeout, e.g. 30s (default none)")
 		resume   = flag.Bool("resume", true, "skip jobs whose fingerprint is already in -out")
 		ordered  = flag.Bool("ordered", false, "write records in grid (expansion) order instead of completion order, so result files of the same spec diff cleanly")

@@ -1,14 +1,12 @@
 // Stepper-equivalence suite: the event-sparse active-set cycle kernel must
 // be indistinguishable from the naive full-scan reference stepper — not
-// statistically close, bit-identical — and the parallel kernel must be
-// indistinguishable from both at every worker count. Anything less means
-// the active set dropped a wakeup, an arbitration got reordered, or a
-// cross-domain merge ran out of order, and every derived result (figure
-// tables, latency distributions, telemetry) silently drifts.
+// statistically close, bit-identical — and so must a run with idle-cycle
+// fast-forward. Anything less means the active set dropped a wakeup or an
+// arbitration got reordered, and every derived result (figure tables,
+// latency distributions, telemetry) silently drifts.
 //
 // Coverage: the eight Figure 9 schemes (every placement, routing, and VC
-// policy family) × three seeds × workers ∈ {1, 2, 4, 8}, plus the dual
-// physical subnets with full- and half-width channels, each compared on
+// policy family) × three seeds, plus the dual physical subnets with full- and half-width channels, each compared on
 // IPC, cycle count, the complete stats.Net (including floating-point
 // Welford latency accumulators, which pin the ejection order), and the
 // full telemetry JSONL export. Runs are sanitized, so CheckInvariants —
@@ -21,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"gpgpunoc/internal/config"
@@ -30,20 +27,6 @@ import (
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/workload"
 )
-
-// forcePool keeps the multi-worker comparisons honest on a one-core
-// machine: networks built on a single-P runtime step their lanes inline
-// (bit-identical, see noc.Network's poolOK), which would quietly remove
-// the worker pool — and everything the race detector learns from it —
-// from this suite. Bumping GOMAXPROCS before construction restores the
-// real concurrent kernel; results cannot depend on it.
-func forcePool(t testing.TB) {
-	if runtime.GOMAXPROCS(0) > 1 {
-		return
-	}
-	old := runtime.GOMAXPROCS(2)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-}
 
 // equivCfg is a reduced-scale configuration: long enough that traffic
 // saturates the MC rows and backpressure (the active set's hard case)
@@ -56,20 +39,15 @@ func equivCfg() config.Config {
 }
 
 // runOne runs the benchmark instrumented (telemetry every 400 cycles) and
-// sanitized (invariants every 256 cycles) with the given kernel worker
-// count (0 keeps cfg's).
-func runOne(t *testing.T, cfg config.Config, bench string, workers int) gpu.Result {
+// sanitized (invariants every 256 cycles).
+func runOne(t *testing.T, cfg config.Config, bench string) gpu.Result {
 	t.Helper()
-	if workers > 1 {
-		forcePool(t)
-	}
 	res, err := gpu.Run(context.Background(), cfg, bench, gpu.RunOptions{
 		SanitizeEvery:  256,
 		TelemetryEpoch: 400,
-		Workers:        workers,
 	})
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	return res
 }
@@ -80,19 +58,9 @@ func runBoth(t *testing.T, cfg config.Config, bench string) (opt, ref gpu.Result
 	run := func(reference bool) gpu.Result {
 		c := cfg
 		c.NoC.ReferenceStepper = reference
-		return runOne(t, c, bench, 0)
+		return runOne(t, c, bench)
 	}
 	return run(false), run(true)
-}
-
-// checkWorkers runs the benchmark at workers ∈ {2, 4, 8} and requires each
-// run bit-identical to the single-threaded baseline.
-func checkWorkers(t *testing.T, cfg config.Config, bench string, base gpu.Result) {
-	t.Helper()
-	for _, w := range []int{2, 4, 8} {
-		res := runOne(t, cfg, bench, w)
-		compareResults(t, res, base)
-	}
 }
 
 // compareResults asserts bit-identical observable state between the two
@@ -125,8 +93,7 @@ func compareResults(t *testing.T, opt, ref gpu.Result) {
 }
 
 // TestStepperEquivalenceFig9Schemes covers the full Figure 9 design space,
-// three seeds each: active-set vs reference stepper, then the parallel
-// kernel at workers ∈ {2, 4, 8} against the single-threaded run.
+// three seeds each: active-set vs reference stepper.
 func TestStepperEquivalenceFig9Schemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed design-space sweep")
@@ -139,7 +106,6 @@ func TestStepperEquivalenceFig9Schemes(t *testing.T) {
 				cfg.Seed = seed
 				opt, ref := runBoth(t, cfg, "KMN")
 				compareResults(t, opt, ref)
-				checkWorkers(t, cfg, "KMN", opt)
 			})
 		}
 	}
@@ -157,7 +123,6 @@ func TestStepperEquivalenceDual(t *testing.T) {
 			cfg.NoC.VCsPerPort = 4 // 2 per subnet
 			opt, ref := runBoth(t, cfg, "RED")
 			compareResults(t, opt, ref)
-			compareResults(t, runOne(t, cfg, "RED", 4), opt)
 		})
 	}
 }
@@ -172,14 +137,13 @@ func TestStepperEquivalenceAsymmetric(t *testing.T) {
 	cfg.NoC.VCPolicy = config.VCAsymmetric
 	opt, ref := runBoth(t, cfg, "BFS")
 	compareResults(t, opt, ref)
-	compareResults(t, runOne(t, cfg, "BFS", 4), opt)
 }
 
-// TestFigureTableEquivalence regenerates a figure table under the parallel
+// TestFigureTableEquivalence regenerates a figure table under the
 // active-set kernel and under the reference stepper and requires the
 // rendered tables to be byte-identical — the property that makes the
-// regenerated EXPERIMENTS.md trustworthy regardless of worker count or
-// kernel.
+// regenerated EXPERIMENTS.md trustworthy regardless of kernel or job
+// concurrency.
 func TestFigureTableEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates a figure grid twice")
@@ -246,23 +210,16 @@ func trickleProfile() workload.Profile {
 // runProfile runs an unregistered profile on a full instrumented simulator
 // (telemetry every 400 cycles, sanitizer every 256) and returns the result
 // plus the cycles fast-forward skipped.
-func runProfile(t *testing.T, cfg config.Config, prof workload.Profile, workers int, ff bool) (gpu.Result, int64) {
+func runProfile(t *testing.T, cfg config.Config, prof workload.Profile, ff bool) (gpu.Result, int64) {
 	t.Helper()
 	c := cfg
 	if ff {
 		c.FastForward = true
 	}
-	if workers > 0 {
-		c.NoC.Workers = workers
-	}
-	if c.NoC.Workers > 1 {
-		forcePool(t)
-	}
 	sim, err := gpu.NewInstrumented(c, prof, gpu.Instrumentation{TelemetryEpoch: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	sim.SanitizeEvery = 256
 	res, err := sim.RunContext(context.Background())
 	if err != nil {
@@ -285,10 +242,10 @@ func TestStepperEquivalenceFastForward(t *testing.T) {
 				t.Parallel()
 				cfg := s.Apply(equivCfg())
 				cfg.Seed = seed
-				base := runOne(t, cfg, "KMN", 0)
+				base := runOne(t, cfg, "KMN")
 				ffCfg := cfg
 				ffCfg.FastForward = true
-				compareResults(t, runOne(t, ffCfg, "KMN", 0), base)
+				compareResults(t, runOne(t, ffCfg, "KMN"), base)
 			})
 		}
 	}
@@ -298,15 +255,14 @@ func TestStepperEquivalenceFastForward(t *testing.T) {
 // actually trigger it: a pure-compute profile (fabric always empty; the
 // skip must cover most of the run) and a trickle profile whose idle spans
 // border real memory traffic (exercising the span-edge compensation). Both
-// must match the stepped run and the reference stepper bit-for-bit, serial
-// and parallel.
+// must match the stepped run and the reference stepper bit-for-bit.
 func TestStepperEquivalenceFastForwardIdle(t *testing.T) {
 	cfg := equivCfg()
 	for _, prof := range []workload.Profile{idleProfile(), trickleProfile()} {
 		t.Run(prof.Name, func(t *testing.T) {
 			t.Parallel()
-			base, _ := runProfile(t, cfg, prof, 1, false)
-			ff, skipped := runProfile(t, cfg, prof, 1, true)
+			base, _ := runProfile(t, cfg, prof, false)
+			ff, skipped := runProfile(t, cfg, prof, true)
 			t.Logf("%s: fast-forwarded %d of %d cycles", prof.Name, skipped,
 				cfg.WarmupCycles+cfg.MeasureCycles)
 			if skipped == 0 {
@@ -316,35 +272,15 @@ func TestStepperEquivalenceFastForwardIdle(t *testing.T) {
 
 			rcfg := cfg
 			rcfg.NoC.ReferenceStepper = true
-			ref, _ := runProfile(t, rcfg, prof, 1, false)
+			ref, _ := runProfile(t, rcfg, prof, false)
 			compareResults(t, ff, ref)
-
-			pff, _ := runProfile(t, cfg, prof, 4, true)
-			compareResults(t, pff, base)
 		})
 	}
 }
 
-// TestStepperEquivalenceRebalance pins load-adaptive lane retiling as a
-// pure performance knob: with retiling every 64 cycles the run must be
-// bit-identical across workers ∈ {1, 2, 4, 8} and to the un-retiled serial
-// kernel.
-func TestStepperEquivalenceRebalance(t *testing.T) {
-	cfg := equivCfg()
-	cfg.NoC.RebalanceEpoch = 64
-	base := runOne(t, cfg, "KMN", 1)
-	for _, w := range []int{2, 4, 8} {
-		compareResults(t, runOne(t, cfg, "KMN", w), base)
-	}
-	plain := equivCfg()
-	compareResults(t, base, runOne(t, plain, "KMN", 1))
-}
-
-// TestStepperEquivalenceSoak exercises rebalancing and fast-forward
-// together on the workers=4 kernel over a longer run — under -race in CI,
-// this is the soak that lets the detector watch retiled lanes and barrier
-// generations interleave for real — and requires bit-identity with the
-// plain serial run.
+// TestStepperEquivalenceSoak runs fast-forward over a longer run, on both a
+// memory-bound and a mostly idle workload, and requires bit-identity with
+// the plain stepped run.
 func TestStepperEquivalenceSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
@@ -354,14 +290,12 @@ func TestStepperEquivalenceSoak(t *testing.T) {
 	cfg.MeasureCycles = 4000
 	soak := cfg
 	soak.FastForward = true
-	soak.NoC.RebalanceEpoch = 96
 
-	base := runOne(t, cfg, "KMN", 1)
-	compareResults(t, runOne(t, soak, "KMN", 4), base)
+	compareResults(t, runOne(t, soak, "KMN"), runOne(t, cfg, "KMN"))
 
 	prof := idleProfile()
-	pbase, _ := runProfile(t, cfg, prof, 1, false)
-	sres, skipped := runProfile(t, soak, prof, 4, true)
+	pbase, _ := runProfile(t, cfg, prof, false)
+	sres, skipped := runProfile(t, soak, prof, true)
 	if skipped == 0 {
 		t.Fatal("soak never fast-forwarded")
 	}

@@ -33,7 +33,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sim.Close()
 	res := sim.Run()
 	fmt.Printf("custom workload on baseline: IPC = %.3f, L1 miss = %.2f\n",
 		res.IPC, res.GPU.L1MissRate())

@@ -83,17 +83,6 @@ type NoC struct {
 	// the event-sparse active-set kernel. Results are bit-identical; the
 	// flag exists for equivalence testing and performance triage.
 	ReferenceStepper bool
-	// Workers is the number of spatial domains the cycle kernel steps in
-	// parallel: 0 means GOMAXPROCS, 1 is the serial kernel. Results are
-	// bit-identical for every value (per-domain state is merged in a fixed
-	// order at each cycle boundary); the kernel clamps the count to the
-	// mesh height, since domains are contiguous row stripes.
-	Workers int
-	// RebalanceEpoch, when positive, retiles the parallel kernel's lane
-	// stripes from per-row load every RebalanceEpoch cycles. Results are
-	// bit-identical for every value — partitioning cannot affect output —
-	// so this is a pure performance knob. 0 disables retiling.
-	RebalanceEpoch int64
 }
 
 // Mem is the memory-system configuration.
@@ -168,7 +157,6 @@ func Default() Config {
 			VCPolicy:               VCSplit,
 			AsymmetricRequestVCs:   1,
 			InjectionFlitsPerCycle: 2,
-			Workers:                1,
 		},
 		Mem: Mem{
 			NumMCs:         8,
@@ -233,10 +221,6 @@ func (c Config) Validate() error {
 		return errors.New("config: need VC depth >= 1")
 	case n.InjectionFlitsPerCycle < 1:
 		return errors.New("config: need injection bandwidth >= 1 flit/cycle")
-	case n.Workers < 0:
-		return errors.New("config: workers must be >= 0 (0 = GOMAXPROCS, 1 = serial kernel)")
-	case n.RebalanceEpoch < 0:
-		return errors.New("config: rebalance epoch must be >= 0 (0 disables lane retiling)")
 	}
 	switch n.Routing {
 	case RoutingXY, RoutingYX, RoutingXYYX:
@@ -292,20 +276,4 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Warnings returns non-fatal configuration advisories: settings that are
-// valid but probably not what the user meant. CLIs print them to stderr.
-func (c Config) Warnings() []string {
-	var out []string
-	if routers := c.NoC.Width * c.NoC.Height; c.NoC.Workers > routers {
-		out = append(out, fmt.Sprintf(
-			"config: %d workers exceed the mesh's %d routers; the kernel clamps domains to %d row stripes",
-			c.NoC.Workers, routers, c.NoC.Height))
-	} else if c.NoC.Workers > c.NoC.Height {
-		out = append(out, fmt.Sprintf(
-			"config: %d workers exceed the mesh's %d rows; domains are row stripes, so the kernel clamps to %d",
-			c.NoC.Workers, c.NoC.Height, c.NoC.Height))
-	}
-	return out
 }

@@ -21,8 +21,6 @@ type Overrides struct {
 	PhysicalSubnets      *bool
 	SubnetHalfWidth      *bool
 	ReferenceStepper     *bool
-	Workers              *int
-	RebalanceEpoch       *int64
 	FastForward          *bool
 	WarmupCycles         *int
 	MeasureCycles        *int
@@ -58,12 +56,6 @@ func (o Overrides) Apply(base Config) Config {
 	}
 	if o.ReferenceStepper != nil {
 		base.NoC.ReferenceStepper = *o.ReferenceStepper
-	}
-	if o.Workers != nil {
-		base.NoC.Workers = *o.Workers
-	}
-	if o.RebalanceEpoch != nil {
-		base.NoC.RebalanceEpoch = *o.RebalanceEpoch
 	}
 	if o.FastForward != nil {
 		base.FastForward = *o.FastForward
@@ -102,8 +94,6 @@ type Flags struct {
 	dual      bool
 	halfwidth bool
 	refstep   bool
-	workers   int
-	rebalance int64
 	fastfwd   bool
 	unsafe    bool
 }
@@ -127,8 +117,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.dual, "dual", false, "use two physical subnetworks instead of VC separation")
 	fs.BoolVar(&f.halfwidth, "halfwidth", false, "with -dual, give each subnet half-width channels (equal wire budget)")
 	fs.BoolVar(&f.refstep, "reference-stepper", false, "use the naive full-scan cycle kernel (bit-identical, slower; for equivalence testing)")
-	fs.IntVar(&f.workers, "workers", d.NoC.Workers, "parallel cycle-kernel domains (0 = GOMAXPROCS, 1 = serial; results are bit-identical)")
-	fs.Int64Var(&f.rebalance, "rebalance-epoch", d.NoC.RebalanceEpoch, "retile kernel lanes from per-row load every N cycles (0 = off; results are bit-identical)")
 	fs.BoolVar(&f.fastfwd, "fastforward", d.FastForward, "jump over globally idle cycles to the next event horizon (results are bit-identical)")
 	fs.BoolVar(&f.unsafe, "allow-unsafe", false, "accept configurations the protocol-deadlock analysis rejects")
 	return f
@@ -170,10 +158,6 @@ func (f *Flags) Overrides() Overrides {
 			o.SubnetHalfWidth = &f.halfwidth
 		case "reference-stepper":
 			o.ReferenceStepper = &f.refstep
-		case "workers":
-			o.Workers = &f.workers
-		case "rebalance-epoch":
-			o.RebalanceEpoch = &f.rebalance
 		case "fastforward":
 			o.FastForward = &f.fastfwd
 		case "allow-unsafe":

@@ -7,6 +7,7 @@ package config_test
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,13 +65,10 @@ func TestFlagsOverridesOnlyExplicit(t *testing.T) {
 }
 
 func TestFlagsPerfKnobs(t *testing.T) {
-	f := bind(t, "-fastforward", "-rebalance-epoch", "512", "-workers", "4")
+	f := bind(t, "-fastforward")
 	o := f.Overrides()
 	if o.FastForward == nil || !*o.FastForward {
 		t.Errorf("explicit -fastforward missing from overrides: %+v", o)
-	}
-	if o.RebalanceEpoch == nil || *o.RebalanceEpoch != 512 {
-		t.Errorf("explicit -rebalance-epoch missing from overrides: %+v", o)
 	}
 	cfg, err := f.Config()
 	if err != nil {
@@ -78,36 +76,18 @@ func TestFlagsPerfKnobs(t *testing.T) {
 	}
 	want := config.Default()
 	want.FastForward = true
-	want.NoC.RebalanceEpoch = 512
-	want.NoC.Workers = 4
 	if cfg != want {
 		t.Errorf("Config() mismatch:\n got %+v\nwant %+v", cfg, want)
 	}
-	if _, err := bind(t, "-rebalance-epoch", "-3").Config(); err == nil {
-		t.Error("negative -rebalance-epoch accepted")
-	}
-}
-
-func TestWarnings(t *testing.T) {
-	if w := config.Default().Warnings(); len(w) != 0 {
-		t.Errorf("baseline configuration warns: %v", w)
-	}
-	// More workers than rows: lanes are row stripes, so some would be empty.
-	cfg := config.Default()
-	cfg.NoC.Workers = cfg.NoC.Height + 1
-	if w := cfg.Warnings(); len(w) != 1 {
-		t.Errorf("workers > rows produced %d warnings, want 1: %v", len(w), w)
-	}
-	// More workers than routers subsumes the rows advisory; exactly one
-	// warning should name the router clamp.
-	cfg.NoC.Workers = cfg.NoC.Width*cfg.NoC.Height + 1
-	if w := cfg.Warnings(); len(w) != 1 {
-		t.Errorf("workers > routers produced %d warnings, want 1: %v", len(w), w)
-	}
-	// Workers equal to the row count is fine.
-	cfg.NoC.Workers = cfg.NoC.Height
-	if w := cfg.Warnings(); len(w) != 0 {
-		t.Errorf("workers == rows warned: %v", w)
+	// The retired intra-run parallelism knobs are no longer flags: passing
+	// one must be a parse error, not a silent no-op.
+	for _, args := range [][]string{{"-workers", "4"}, {"-rebalance-epoch", "512"}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		config.BindFlags(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("retired flag %s accepted", args[0])
+		}
 	}
 }
 

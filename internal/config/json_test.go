@@ -56,6 +56,16 @@ func TestParseRejectsUnknownField(t *testing.T) {
 	if _, err := Parse([]byte(`{"Typo": 1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	// Retired knobs must fail loudly rather than be silently ignored: a
+	// stale config naming them is an error, through Decode as well.
+	for _, in := range []string{
+		`{"NoC":{"Workers":2}}`,
+		`{"NoC":{"RebalanceEpoch":64}}`,
+	} {
+		if _, err := Decode([]byte(in)); err == nil {
+			t.Errorf("retired field accepted: %s", in)
+		}
+	}
 }
 
 func TestParseRejectsInvalidValues(t *testing.T) {

@@ -46,12 +46,6 @@ const (
 	KindWatchdog
 	// KindPanic: a panic unwound through the run loop.
 	KindPanic
-	// KindPool: the parallel kernel's worker pool changed. A: worker lanes
-	// running (0 = pool parked).
-	KindPool
-	// KindRetile: the serial tail moved the lane boundaries. A: lane count,
-	// B: first interior boundary row.
-	KindRetile
 	// KindRegister: fabric: a worker registered. A: wall ms, B: worker number.
 	KindRegister
 	// KindLease: fabric: a lease was granted. A: wall ms, B: worker number,
@@ -73,8 +67,8 @@ const (
 
 var kindNames = [...]string{
 	"phase", "checkpoint", "invariant_ok", "invariant_fail", "fast_forward",
-	"watchdog", "panic", "pool", "retile", "register", "lease", "heartbeat",
-	"lease_expired", "complete", "requeue", "quarantine",
+	"watchdog", "panic", "register", "lease", "heartbeat", "lease_expired",
+	"complete", "requeue", "quarantine",
 }
 
 // String names the kind.

@@ -51,7 +51,6 @@ func TestFlightDumpOnInvariantFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.AttachFlight(256, dir)
 	s.SanitizeEvery = 64
 	// Swap in the failing wrapper after AttachFlight: the recorder stays on
@@ -107,7 +106,6 @@ func TestFlightDumpOnPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.AttachFlight(256, dir)
 	s.Net = &panicNet{Interconnect: s.Net, panicAt: 700}
 

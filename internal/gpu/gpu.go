@@ -59,9 +59,8 @@ type Simulator struct {
 
 	// Flight, when non-nil (see AttachFlight), is the always-on flight
 	// recorder: a bounded ring of recent cycle-domain events (phase
-	// entries, checkpoints, invariant checks, fast-forward jumps, kernel
-	// pool/retile events) dumped as JSONL post-mortem on panic, invariant
-	// failure, or watchdog trip. Recording never reads wall clock or
+	// entries, checkpoints, invariant checks, fast-forward jumps) dumped as
+	// JSONL post-mortem on panic, invariant failure, or watchdog trip. Recording never reads wall clock or
 	// scheduler state and never feeds back into simulation, so results
 	// stay bit-identical with it attached.
 	Flight *fleetobs.Recorder
@@ -78,12 +77,8 @@ type Simulator struct {
 	// for reporting and tests.
 	FastForwarded int64
 
-	// gpu holds the core-side counters, written only from the stepping
-	// goroutine (SM Tick and fetch paths). MC sinks run on kernel worker
-	// goroutines under the parallel cycle kernel, so each MC writes its own
-	// mcGPU shard instead; gpuTotals folds the shards at cycle boundaries.
+	// gpu holds the core-side counters, shared by every SM and MC.
 	gpu    stats.GPU
-	mcGPU  []stats.GPU
 	nextID uint64
 	cycle  int64
 }
@@ -142,9 +137,8 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	for i := cfg.Core.NumSMs; i < len(cores); i++ {
 		net.SetSink(cores[i], func(packet.Flit) bool { return true })
 	}
-	s.mcGPU = make([]stats.GPU, len(pl.MCs))
 	for i := range pl.MCs {
-		ctrl := mc.New(i, pl.MCNode(i), cfg.Mem, net, &s.mcGPU[i])
+		ctrl := mc.New(i, pl.MCNode(i), cfg.Mem, net, &s.gpu)
 		s.MCs = append(s.MCs, ctrl)
 		net.SetSink(ctrl.Node, ctrl.Sink(func() int64 { return s.cycle }))
 	}
@@ -165,7 +159,6 @@ func NewInstrumented(cfg config.Config, prof workload.Profile, inst Instrumentat
 	}
 	if inst.Spans {
 		if _, err := s.attachSpans(inst.SpanRate); err != nil {
-			s.Close()
 			return nil, err
 		}
 	}
@@ -195,7 +188,6 @@ func (s *Simulator) AttachFlight(size int, dir string) *fleetobs.Recorder {
 	r := fleetobs.NewRecorder(size)
 	s.Flight = r
 	s.FlightDir = dir
-	s.Net.SetRecorder(r)
 	return r
 }
 
@@ -213,8 +205,7 @@ type Instrumentation struct {
 
 	// Spans attaches per-packet span tracing at SpanRate (the fraction of
 	// request packets sampled; 0 installs the collector but samples
-	// nothing). Span probes observe mid-cycle state, so tracing runs on
-	// the serial kernel regardless of Workers.
+	// nothing).
 	Spans    bool
 	SpanRate float64
 
@@ -230,30 +221,9 @@ type Instrumentation struct {
 	FlightDir      string
 }
 
-// Close releases the simulator's resources — the interconnect's worker pool
-// when the parallel cycle kernel is active. The simulator stays usable
-// (stepping respawns the pool); call at a cycle boundary. Idempotent.
-func (s *Simulator) Close() { s.Net.Close() }
-
-// gpuTotals folds the per-MC shards into the core-side counters. Shards are
-// folded in MC order, and every field is an int64 sum, so the result is
-// identical to what unsharded accumulation would have produced. Call only at
-// a cycle boundary (MC sinks write shards mid-cycle).
-func (s *Simulator) gpuTotals() stats.GPU {
-	g := s.gpu
-	for i := range s.mcGPU {
-		m := &s.mcGPU[i]
-		g.Instructions += m.Instructions
-		g.MemRequests += m.MemRequests
-		g.L1Hits += m.L1Hits
-		g.L1Misses += m.L1Misses
-		g.L2Hits += m.L2Hits
-		g.L2Misses += m.L2Misses
-		g.InstFetchMisses += m.InstFetchMisses
-		g.StallCycles += m.StallCycles
-	}
-	return g
-}
+// Close is a no-op kept for callers that defer it after New: a simulator
+// holds no goroutines or OS resources, so there is nothing to release.
+func (s *Simulator) Close() {}
 
 // attachTelemetry instruments the whole system with the cycle-domain
 // observability subsystem sampling every epochLen cycles: fabric probes
@@ -273,19 +243,17 @@ func (s *Simulator) attachTelemetry(epochLen int64) *telemetry.Telemetry {
 
 // instrument registers the full probe set — fabric, per-MC, core-side — on
 // reg. Shared by attachTelemetry (epoch-sampled registry) and attachObs
-// (live-exposition registry when telemetry is not attached). Gauges read the
-// folded totals: probes fire at cycle boundaries, where the shards are
-// quiescent.
+// (live-exposition registry when telemetry is not attached).
 func (s *Simulator) instrument(reg *telemetry.Registry) {
 	s.Net.AttachTelemetry(reg)
 	for _, m := range s.MCs {
 		m.AttachTelemetry(reg)
 	}
-	reg.GaugeFunc("core.instructions", func() int64 { return s.gpuTotals().Instructions })
-	reg.GaugeFunc("core.mem_requests", func() int64 { return s.gpuTotals().MemRequests })
-	reg.GaugeFunc("core.stall_cycles", func() int64 { return s.gpuTotals().StallCycles })
-	reg.GaugeFunc("core.l1_misses", func() int64 { return s.gpuTotals().L1Misses })
-	reg.GaugeFunc("core.l2_misses", func() int64 { return s.gpuTotals().L2Misses })
+	reg.GaugeFunc("core.instructions", func() int64 { return s.gpu.Instructions })
+	reg.GaugeFunc("core.mem_requests", func() int64 { return s.gpu.MemRequests })
+	reg.GaugeFunc("core.stall_cycles", func() int64 { return s.gpu.StallCycles })
+	reg.GaugeFunc("core.l1_misses", func() int64 { return s.gpu.L1Misses })
+	reg.GaugeFunc("core.l2_misses", func() int64 { return s.gpu.L2Misses })
 }
 
 // attachSpans installs per-packet span tracing: a deterministic sampler
@@ -517,7 +485,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		}
 	}
 
-	before := s.gpuTotals()
+	before := s.gpu
 	s.Net.EnableStats(true)
 	s.Flight.Record(s.cycle, fleetobs.KindPhase, 1, 0, 0)
 	for i := 0; i < s.Cfg.MeasureCycles; i++ {
@@ -541,7 +509,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	}
 
 	res := s.result(false, int64(s.Cfg.MeasureCycles))
-	res.GPU = delta(before, s.gpuTotals())
+	res.GPU = delta(before, s.gpu)
 	res.GPU.Cycles = int64(s.Cfg.MeasureCycles)
 	res.IPC = res.GPU.IPC()
 	return res, nil
@@ -592,7 +560,7 @@ func (s *Simulator) dumpFlight(reason string) string {
 func (s *Simulator) result(deadlocked bool, cycles int64) Result {
 	st := s.Net.Stats()
 	st.Cycles = cycles
-	g := s.gpuTotals()
+	g := s.gpu
 	g.Cycles = cycles
 	if s.Tel != nil {
 		// Close the time-series with the run's final state so partial
@@ -642,12 +610,6 @@ type RunOptions struct {
 	// TelemetryEpoch cycles; the result's Tel field carries the series.
 	TelemetryEpoch int64
 
-	// Workers, when positive, overrides cfg.NoC.Workers — the number of
-	// spatial domains the cycle kernel steps in parallel (1 = serial).
-	// Zero keeps the configured value. Results are bit-identical for
-	// every worker count.
-	Workers int
-
 	// Spans attaches per-packet span tracing at SpanRate; see
 	// Instrumentation.
 	Spans    bool
@@ -667,16 +629,12 @@ type RunOptions struct {
 
 // Run is the one-call runner: build a simulator for cfg and the named
 // benchmark with the requested instrumentation, simulate warmup then
-// measurement under ctx's cancellation, release the kernel's worker pool,
-// and return the result. On cancellation the partial result is returned
+// measurement under ctx's cancellation, and return the result. On cancellation the partial result is returned
 // together with ctx's error.
 func Run(ctx context.Context, cfg config.Config, benchmark string, opts RunOptions) (Result, error) {
 	prof, err := workload.Get(benchmark)
 	if err != nil {
 		return Result{}, err
-	}
-	if opts.Workers > 0 {
-		cfg.NoC.Workers = opts.Workers
 	}
 	if opts.FastForward {
 		cfg.FastForward = true
@@ -691,7 +649,6 @@ func Run(ctx context.Context, cfg config.Config, benchmark string, opts RunOptio
 	if err != nil {
 		return Result{}, err
 	}
-	defer sim.Close()
 	sim.SanitizeEvery = opts.SanitizeEvery
 	return sim.RunContext(ctx)
 }

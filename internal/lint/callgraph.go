@@ -5,14 +5,12 @@ import (
 	"go/types"
 )
 
-// Call-graph construction shared by the semantic analyzers (laneowner,
-// hotpath). The graph is intra-package and conservative in the direction the
-// analyzers need: an edge exists for every static call AND for every bare
+// Call-graph construction for the hotpath analyzer. The graph is
+// intra-package and conservative in the direction the analyzer needs: an edge exists for every static call AND for every bare
 // reference to a package function (a function stored or passed as a value may
 // be called later, so its body must satisfy the same discipline as its
 // referents). Dynamic calls through interfaces or function-typed values have
-// no edge — the analyzers compensate by flagging such calls directly when
-// their receiver or callee is rooted in shared state.
+// no edge; that gap is documented on the Hotpath analyzer.
 //
 // Function literals are folded into their enclosing declaration: a call made
 // inside a closure is an edge from the function that created the closure.
@@ -30,15 +28,6 @@ type callGraph struct {
 	// callees lists, per declared function, every package-declared function
 	// it references (called or taken as a value).
 	callees map[*types.Func][]*types.Func
-
-	// goRootFuncs are package functions launched directly by a go statement
-	// anywhere in the package.
-	goRootFuncs []*types.Func
-
-	// goRootLits are `go func(){...}()` literals: goroutine bodies with no
-	// named declaration. enclosing maps each to the declaration containing
-	// it, for attribution in diagnostics.
-	goRootLits []*ast.FuncLit
 }
 
 // buildCallGraph constructs the package's call graph.
@@ -68,17 +57,11 @@ func buildCallGraph(pkg *Package) *callGraph {
 }
 
 // collect records every package-function reference inside body as a callee
-// of from, and every go statement's target as a goroutine root.
+// of from.
 func (g *callGraph) collect(from *types.Func, body ast.Node) {
 	seen := make(map[*types.Func]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.GoStmt:
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				g.goRootLits = append(g.goRootLits, lit)
-			} else if callee := g.resolve(n.Call.Fun); callee != nil {
-				g.goRootFuncs = append(g.goRootFuncs, callee)
-			}
 		case *ast.Ident:
 			if callee := g.resolve(n); callee != nil && !seen[callee] {
 				seen[callee] = true
@@ -135,27 +118,4 @@ func (g *callGraph) reachable(roots []*types.Func) map[*types.Func]bool {
 		visit(r)
 	}
 	return set
-}
-
-// goRoots returns the functions that form goroutine entry points: targets of
-// go statements plus every package function referenced from a `go func(){}`
-// literal body.
-func (g *callGraph) goRoots() []*types.Func {
-	roots := append([]*types.Func(nil), g.goRootFuncs...)
-	for _, lit := range g.goRootLits {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if fn := g.resolve(id); fn != nil {
-					roots = append(roots, fn)
-				}
-			}
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if fn := g.resolve(sel); fn != nil {
-					roots = append(roots, fn)
-				}
-			}
-			return true
-		})
-	}
-	return roots
 }

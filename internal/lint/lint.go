@@ -59,7 +59,7 @@ type Analyzer struct {
 // syntactic analyzers from PR 2, then the three semantic analyzers
 // (call-graph based) from PR 7.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, Seedflow, Paniclint, Laneowner, Hotpath, Publish}
+	return []*Analyzer{Determinism, Seedflow, Paniclint, Hotpath, Publish}
 }
 
 // Context is what an analyzer sees: the package under analysis plus the

@@ -83,7 +83,7 @@ func CountByAnalyzer(findings []Finding) map[string]int {
 }
 
 // Summary renders the one-line findings summary CI logs lead with, e.g.
-// "3 finding(s): hotpath=2 laneowner=1". Analyzers appear in name order so
+// "3 finding(s): hotpath=2 publish=1". Analyzers appear in name order so
 // the line is stable.
 func Summary(findings []Finding) string {
 	counts := CountByAnalyzer(findings)

@@ -23,9 +23,9 @@ func TestActiveSetIdleNetworkEmpty(t *testing.T) {
 	if !n.Drain(2000) {
 		t.Fatal("failed to drain")
 	}
-	if n.activeCount() != 0 || n.injActiveCount() != 0 {
+	if len(n.active) != 0 || len(n.injActive) != 0 {
 		t.Fatalf("drained network still schedules work: %d routers, %d injectors",
-			n.activeCount(), n.injActiveCount())
+			len(n.active), len(n.injActive))
 	}
 	before := n.Cycle()
 	for i := 0; i < 100; i++ {
@@ -34,7 +34,7 @@ func TestActiveSetIdleNetworkEmpty(t *testing.T) {
 	if n.Cycle() != before+100 {
 		t.Errorf("idle stepping lost cycles: %d -> %d", before, n.Cycle())
 	}
-	if n.activeCount() != 0 || n.injActiveCount() != 0 {
+	if len(n.active) != 0 || len(n.injActive) != 0 {
 		t.Error("idle stepping re-activated routers")
 	}
 	if err := n.CheckInvariants(); err != nil {

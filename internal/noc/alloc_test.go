@@ -32,8 +32,6 @@ func TestRingOpsDoNotAllocate(t *testing.T) {
 }
 
 func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
-	// config.Default() runs Workers=1: the serial kernel, so the parallel
-	// pool's channel handshakes are not part of the measurement.
 	n := newTestNet(t, config.RoutingXY, config.VCSplit)
 	for i := 0; i < n.Mesh().NumNodes(); i++ {
 		n.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })

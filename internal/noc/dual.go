@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gpgpunoc/internal/config"
-	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
@@ -90,8 +89,7 @@ func (d *Dual) FastForward(delta int64) {
 func (d *Dual) Cycle() int64 { return d.request.Cycle() }
 
 // Stats returns a merged view of both subnets' statistics. The merge is
-// recomputed on each call (going through each subnet's Stats method, which
-// folds its per-lane shards first); experiments read it once after the run.
+// recomputed on each call; experiments read it once after the run.
 func (d *Dual) Stats() *stats.Net {
 	d.merged.Reset()
 	d.merged.Enabled = d.request.stats.Enabled
@@ -120,12 +118,6 @@ func (d *Dual) EnableStats(on bool) {
 	d.reply.EnableStats(on)
 }
 
-// Close stops both subnets' worker pools.
-func (d *Dual) Close() {
-	d.request.Close()
-	d.reply.Close()
-}
-
 // FlitsInFlight sums both subnets.
 func (d *Dual) FlitsInFlight() int {
 	return d.request.FlitsInFlight() + d.reply.FlitsInFlight()
@@ -145,13 +137,6 @@ func (d *Dual) AttachTelemetry(reg *telemetry.Registry) {
 func (d *Dual) SetSpans(sp *obs.Spans) {
 	d.request.SetSpans(sp)
 	d.reply.SetSpans(sp)
-}
-
-// SetRecorder installs one flight recorder on both subnets. Step runs the
-// subnets serially, so the single-writer contract holds.
-func (d *Dual) SetRecorder(r *fleetobs.Recorder) {
-	d.request.SetRecorder(r)
-	d.reply.SetRecorder(r)
 }
 
 // StateSnapshot captures both subnets under the "req"/"rep" names. Call

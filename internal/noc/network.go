@@ -25,18 +25,15 @@
 // routers in ascending ID order, which pins the floating-point statistics
 // accumulation order.
 //
-// The kernel can additionally step the mesh as several spatial domains in
-// parallel (config: NoC.Workers; see parallel.go): contiguous row stripes
-// run the compute phases concurrently, separated by cycle-boundary
-// barriers, and all cross-domain effects merge in a fixed lane order — so
-// results stay bit-identical for every worker count.
+// A run steps on one goroutine; sweeps get their parallelism across jobs
+// (DESIGN.md §11 gives the measurements behind that choice).
 package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"gpgpunoc/internal/config"
-	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
@@ -102,11 +99,6 @@ type Interconnect interface {
 	// tracing; like a nil Tracer, disabled tracing costs one predictable
 	// nil check per probe site).
 	SetSpans(sp *obs.Spans)
-	// SetRecorder installs the flight recorder capturing kernel-structure
-	// events (pool spawn/park, lane retiles). The recorder itself is
-	// nil-receiver safe, so record sites pay one predictable nil check;
-	// recording never influences simulation results.
-	SetRecorder(r *fleetobs.Recorder)
 	// StateSnapshot captures per-link/per-VC occupancy and active-set
 	// sizes. Callers must invoke it only at a cycle boundary (between
 	// Step calls) so the kernel is never read mid-phase.
@@ -117,11 +109,6 @@ type Interconnect interface {
 	// so skipping is observationally identical to stepping. Panics if
 	// flits are in flight.
 	FastForward(delta int64)
-	// Close stops the kernel's persistent worker pool, if one is running.
-	// The interconnect stays usable (a later parallel Step respawns the
-	// pool); call at a cycle boundary, typically deferred after
-	// construction.
-	Close()
 }
 
 // injQueue is a node's bounded injection FIFO, in flits. Consumption
@@ -180,35 +167,18 @@ type Network struct {
 	inj     []injQueue
 	sinks   []Sink
 
-	// lanes are the kernel's spatial domains: contiguous row stripes, each
-	// owning its routers' active sets, stats shard, and cross-domain
-	// outboxes (see parallel.go). A single lane covering the whole mesh is
-	// the serial kernel. laneOf maps each node ID to its owning lane.
-	// activeIn / injIn are the global membership marks for the per-lane
-	// active sets; each slot has a single writer (the owning lane during
-	// the phases, the serial tail otherwise).
-	lanes    []lane
-	laneOf   []int32
-	activeIn []bool
-	injIn    []bool
+	// Active sets: dense ID lists of routers with work and nodes with
+	// queued injections, with their membership marks. Sorted ascending at
+	// the top of each phase so iteration order matches the reference full
+	// scan; compacted by finishCycle when the work drains.
+	active    []int32
+	injActive []int32
+	activeIn  []bool
+	injIn     []bool
 
-	// pool is the persistent worker pool stepping lanes 1..N-1; spawned
-	// lazily on the first parallel Step, stopped by Close. poolOK records
-	// whether the runtime had more than one P when the lanes were built:
-	// on a single P the pool cannot overlap phases — it can only add
-	// scheduler round-trips — so Step runs the lanes inline instead
-	// (bit-identical by partition independence).
-	pool   *workerPool
-	poolOK bool
-
-	// rebalanceEvery, when positive with more than one lane, retiles the
-	// lane stripes from per-row load every rebalanceEvery cycles (see
-	// rebalance.go). The scratch slices below are preallocated so the
-	// retile itself is allocation-free in steady state.
-	rebalanceEvery int64
-	rowWeight      []int   // per-row load estimate, reused each retile
-	laneBounds     []int   // candidate row boundaries, len(lanes)+1
-	setScratch     []int32 // gathered active/inj IDs during redistribution
+	// creditDirty lists output ports with credits returned this cycle
+	// (accumulated in outPort.pending); finishCycle applies them.
+	creditDirty []*outPort
 
 	// routeTab caches the routing algorithm per (class, current, dest):
 	// NextHop is a pure function of those three, so RC becomes one array
@@ -222,7 +192,6 @@ type Network struct {
 	tracer   Tracer
 	tel      *telemetry.NetProbes
 	spans    *obs.Spans
-	frec     *fleetobs.Recorder
 	cycle    int64
 	moved    bool
 	lastMove int64
@@ -297,13 +266,6 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 		injRng:     make([][packet.NumClasses]vc.Range, nn),
 		stats:      stats.NewNet(m),
 	}
-	n.buildLanes(cfg.Workers, cfg.Width, cfg.Height)
-	n.rebalanceEvery = cfg.RebalanceEpoch
-	if n.rebalanceEvery > 0 {
-		n.rowWeight = make([]int, cfg.Height)
-		n.laneBounds = make([]int, len(n.lanes)+1)
-		n.setScratch = make([]int32, 0, nn)
-	}
 	arena := newRouterArena(nn, n.vcs, n.depth)
 	for id := range n.routers {
 		rt := &n.routers[id]
@@ -359,33 +321,11 @@ func New(cfg config.NoC, alg routing.Algorithm, pol vc.Assigner, opts ...Option)
 // Mesh returns the topology.
 func (n *Network) Mesh() mesh.Mesh { return n.m }
 
-// Stats returns the statistics collector, after folding every lane's shard
-// into it in lane order. Call only at a cycle boundary.
-func (n *Network) Stats() *stats.Net {
-	n.foldStats()
-	return n.stats
-}
+// Stats returns the statistics collector.
+func (n *Network) Stats() *stats.Net { return n.stats }
 
-// EnableStats toggles measurement collection, on the folded collector and
-// every lane shard alike.
-func (n *Network) EnableStats(on bool) {
-	n.stats.Enabled = on
-	for i := range n.lanes {
-		n.lanes[i].stats.Enabled = on
-	}
-}
-
-// Close stops the persistent worker pool, if one was spawned. The network
-// remains usable — a later parallel Step respawns the pool — so Close is
-// safe to defer as soon as the network is built. Call only at a cycle
-// boundary.
-func (n *Network) Close() {
-	if n.pool != nil {
-		n.pool.stop()
-		n.pool = nil
-		n.frec.Record(n.cycle, fleetobs.KindPool, 0, 0, 0)
-	}
-}
+// EnableStats toggles measurement collection.
+func (n *Network) EnableStats(on bool) { n.stats.Enabled = on }
 
 // Cycle returns the current cycle count.
 func (n *Network) Cycle() int64 { return n.cycle }
@@ -404,9 +344,7 @@ func (n *Network) Quiescent(window int64) bool {
 // traversals, or credit returns can occur, and finishCycle would only
 // advance the counter — so the jump is observationally identical to delta
 // empty Steps. lastMove is deliberately left alone: empty Steps would not
-// have moved anything either. Lane rebalancing epochs inside the span are
-// skipped; retiling is a pure performance knob with no observable effect
-// (see rebalance.go), so this cannot perturb results.
+// have moved anything either.
 func (n *Network) FastForward(delta int64) {
 	if delta <= 0 {
 		return
@@ -418,45 +356,19 @@ func (n *Network) FastForward(delta int64) {
 	n.stats.Cycles = n.cycle
 }
 
-// activeCount sums the scheduled routers across lanes.
-func (n *Network) activeCount() int {
-	total := 0
-	for i := range n.lanes {
-		total += len(n.lanes[i].active)
-	}
-	return total
-}
-
-// injActiveCount sums the injection-scheduled nodes across lanes.
-func (n *Network) injActiveCount() int {
-	total := 0
-	for i := range n.lanes {
-		total += len(n.lanes[i].injActive)
-	}
-	return total
-}
-
-// wake adds a router to its lane's active set; idempotent and O(1). During
-// the parallel phases it is only ever called for routers the executing lane
-// owns (cross-domain deliveries wake from the serial tail), so the set and
-// its membership mark have a single writer.
+// wake adds a router to the active set; idempotent and O(1).
 func (n *Network) wake(id mesh.NodeID) {
 	if !n.activeIn[id] {
-		//noclint:laneowner single-writer slot: activeIn[id] is written only by the lane owning id during the phases, serial tail otherwise
 		n.activeIn[id] = true
-		ln := &n.lanes[n.laneOf[id]]
-		//noclint:laneowner phase-time wakes target only routers the executing lane owns, so this resolves to the caller's own shard
-		ln.active = append(ln.active, int32(id)) //noclint:hotpath amortized: active keeps its backing array across compactions
+		n.active = append(n.active, int32(id)) //noclint:hotpath amortized: active keeps its backing array across compactions
 	}
 }
 
-// wakeInj adds a node to its lane's injection-active set; idempotent and
-// O(1). Only called from serial contexts (endpoint Inject between cycles).
+// wakeInj adds a node to the injection-active set; idempotent and O(1).
 func (n *Network) wakeInj(id mesh.NodeID) {
 	if !n.injIn[id] {
 		n.injIn[id] = true
-		ln := &n.lanes[n.laneOf[id]]
-		ln.injActive = append(ln.injActive, int32(id))
+		n.injActive = append(n.injActive, int32(id))
 	}
 }
 
@@ -502,11 +414,6 @@ func (n *Network) SetTracer(tr Tracer) { n.tracer = tr }
 // Sampled bit, so tracing off costs one branch per site.
 func (n *Network) SetSpans(sp *obs.Spans) { n.spans = sp }
 
-// SetRecorder installs the flight recorder for kernel-structure events
-// (nil, the default, disables recording — and a nil *fleetobs.Recorder is
-// itself a no-op receiver, so record sites need no gate).
-func (n *Network) SetRecorder(r *fleetobs.Recorder) { n.frec = r }
-
 // StateSnapshot captures the fabric's occupancy for the /state endpoint.
 // Call only at a cycle boundary.
 func (n *Network) StateSnapshot() obs.MeshState {
@@ -526,8 +433,8 @@ func (n *Network) subnetState(name string) obs.SubnetState {
 		Subnet:          name,
 		Cycle:           n.cycle,
 		InFlight:        n.inFlight,
-		ActiveRouters:   n.activeCount(),
-		ActiveInjectors: n.injActiveCount(),
+		ActiveRouters:   len(n.active),
+		ActiveInjectors: len(n.injActive),
 		Links:           make([]obs.LinkState, 0, len(n.routers)*mesh.NumLinkDirs),
 		Nodes:           make([]obs.NodeState, 0, len(n.routers)),
 	}
@@ -613,20 +520,16 @@ func (n *Network) sinkAccept(node mesh.NodeID, f packet.Flit) bool {
 	if s == nil {
 		panic(fmt.Sprintf("noc: ejection at node %d with no sink", node))
 	}
-	//noclint:laneowner sinks are per-node state: a node's sink runs only on the lane owning that node
 	return s(f)
 }
 
 // queueCredit defers a credit increment to the end of the cycle, modelling
 // a one-cycle credit loop uniformly regardless of router iteration order.
-// The credit lands in the upstream output port's pending tally; the serial
-// tail applies dirty tallies in lane order. Race-freedom: each output port
-// feeds exactly one input port, so (op.pending, op.dirty) are written only
-// by the lane owning the downstream router — the port's owning lane
-// concurrently touches only disjoint fields (credits, reg, owner).
+// The credit lands in the upstream output port's pending tally; finishCycle
+// applies dirty tallies.
 //
 //noclint:hotpath root: credit tally, once per flit moved through the switch
-func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx int) {
+func (n *Network) queueCredit(rt *router, inPort mesh.Direction, vcIdx int) {
 	op := rt.upstream[inPort]
 	if op == nil {
 		panic("noc: credit return for a port with no upstream link")
@@ -634,13 +537,13 @@ func (n *Network) queueCredit(ln *lane, rt *router, inPort mesh.Direction, vcIdx
 	op.pending[vcIdx]++
 	if !op.dirty {
 		op.dirty = true
-		ln.creditDirty = append(ln.creditDirty, op) //noclint:hotpath amortized: creditDirty keeps its backing array across the serial tail's [:0] reset
+		n.creditDirty = append(n.creditDirty, op) //noclint:hotpath amortized: creditDirty keeps its backing array across finishCycle's [:0] reset
 	}
 }
 
 // injectNode moves up to injRate flits from the node's injection queue into
 // local input VCs of its router.
-func (n *Network) injectNode(ln *lane, id int) {
+func (n *Network) injectNode(id int) {
 	q := &n.inj[id]
 	if q.empty() {
 		return
@@ -664,13 +567,11 @@ func (n *Network) injectNode(ln *lane, id int) {
 			}
 			q.vc = best
 			p.InjectedAt = n.cycle
-			ln.stats.CountInjection(p)
+			n.stats.CountInjection(p)
 			if n.tracer != nil {
-				//noclint:laneowner serial-only: Step runs lanes inline whenever a tracer is attached
 				n.tracer.PacketInjected(p, n.cycle)
 			}
 			if n.spans != nil && p.Sampled {
-				//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
 				n.spans.Injected(p, best, n.cycle)
 			}
 		}
@@ -684,9 +585,8 @@ func (n *Network) injectNode(ln *lane, id int) {
 			q.sent++
 			q.flits--
 			budget--
-			ln.moved = true
+			n.moved = true
 			if n.tel != nil {
-				//noclint:laneowner single-writer counter: node id injects only on its owning lane
 				n.tel.InjFlits[id].Inc()
 			}
 		}
@@ -703,202 +603,186 @@ func (n *Network) injectNode(ln *lane, id int) {
 // link occupancy has elapsed arrive at downstream buffers, waking the
 // downstream router. A half-width link (period 2) holds each flit an extra
 // cycle, blocking the next switch traversal through that port.
-//
-// Deliveries into routers the lane owns commit immediately; deliveries that
-// cross a domain boundary are deferred to the lane's outbox and applied by
-// the serial tail in lane order, so two lanes never push into one router's
-// buffers concurrently. Deferral is invisible to results: at most one flit
-// crosses a link per cycle, deferred pushes land in disjoint rings with the
-// same arrival stamp, and wake is idempotent.
-func (n *Network) linkPhase(ln *lane, rt *router) {
+func (n *Network) linkPhase(rt *router) {
 	for d := mesh.North; d < mesh.Local; d++ {
 		op := &rt.out[d]
 		if !op.exists || !op.regValid || op.regReadyAt > n.cycle {
 			continue
 		}
-		if dn := int(op.downNode); dn >= ln.lo && dn < ln.hi {
-			n.deliver(rt, op)
-		} else {
-			ln.outbox = append(ln.outbox, delivery{rt: rt, op: op}) //noclint:hotpath amortized: outbox keeps its backing array across the serial tail's [:0] reset
-		}
+		down := &n.routers[op.downNode]
+		down.in[op.downPort][op.regVC].buf.push(op.reg, n.cycle)
+		down.bufFlits++
+		down.portFlits[op.downPort]++
+		n.wake(op.downNode)
+		op.regValid = false
+		rt.regCount--
 	}
 }
 
-// deliver commits one link traversal: the flit in op's register arrives at
-// the downstream input buffer, the register frees, and the downstream
-// router wakes.
-func (n *Network) deliver(rt *router, op *outPort) {
-	down := &n.routers[op.downNode]
-	down.in[op.downPort][op.regVC].buf.push(op.reg, n.cycle)
-	down.bufFlits++
-	down.portFlits[op.downPort]++
-	n.wake(op.downNode)
-	op.regValid = false
-	rt.regCount--
-}
-
-// finishCycle is the serial tail of every step: with all lanes' phases done
-// (and their workers parked at the barrier), it merges cross-domain effects
-// in lane order — the fixed merge order that makes results independent of
-// worker count — then compacts the active sets and advances the cycle.
-//
-// Merge order per lane: outbox deliveries (buffer pushes + wakes), credit
-// tallies, telemetry flush (stall counters, deferred per-packet latency
-// observations), movement/in-flight folds, active-set compaction. Routers
-// retire only when they hold no buffered flits and no occupied link
-// register; nodes retire when their injection queue drains. Everything that
-// re-arms activity (buffer pushes, Inject) wakes the target, so retirement
-// can never strand work.
+// finishCycle ends every step: it applies this cycle's credit returns,
+// compacts the active sets and advances the cycle. Routers retire only when
+// they hold no buffered flits and no occupied link register; nodes retire
+// when their injection queue drains. Everything that re-arms activity
+// (buffer pushes, Inject) wakes the target, so retirement can never strand
+// work.
 func (n *Network) finishCycle() {
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		for _, dv := range ln.outbox {
-			n.deliver(dv.rt, dv.op)
+	for _, op := range n.creditDirty {
+		for v, pend := range op.pending {
+			if pend != 0 {
+				op.credits[v] += pend
+				op.pending[v] = 0
+			}
 		}
-		ln.outbox = ln.outbox[:0]
+		op.dirty = false
 	}
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		for _, op := range ln.creditDirty {
-			for v, pend := range op.pending {
-				if pend != 0 {
-					op.credits[v] += pend
-					op.pending[v] = 0
-				}
-			}
-			op.dirty = false
-		}
-		ln.creditDirty = ln.creditDirty[:0]
-	}
-	if n.tel != nil {
-		for li := range n.lanes {
-			ln := &n.lanes[li]
-			if ln.stallVCAlloc != 0 {
-				n.tel.StallVCAlloc.Add(ln.stallVCAlloc)
-				ln.stallVCAlloc = 0
-			}
-			if ln.stallCredit != 0 {
-				n.tel.StallCredit.Add(ln.stallCredit)
-				ln.stallCredit = 0
-			}
-			if ln.stallRoute != 0 {
-				n.tel.StallRoute.Add(ln.stallRoute)
-				ln.stallRoute = 0
-			}
-			for _, p := range ln.ejected {
-				n.tel.PacketEjected(p, n.cycle)
-			}
-			ln.ejected = ln.ejected[:0]
-		}
-	}
+	n.creditDirty = n.creditDirty[:0]
 
-	moved := false
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		moved = moved || ln.moved
-		n.inFlight -= ln.ejectedFlits
-		ln.ejectedFlits = 0
-
-		w := 0
-		for _, id := range ln.active {
-			rt := &n.routers[id]
-			if rt.bufFlits > 0 || rt.regCount > 0 {
-				ln.active[w] = id
-				w++
-			} else {
-				n.activeIn[id] = false
-			}
+	w := 0
+	for _, id := range n.active {
+		rt := &n.routers[id]
+		if rt.bufFlits > 0 || rt.regCount > 0 {
+			n.active[w] = id
+			w++
+		} else {
+			n.activeIn[id] = false
 		}
-		ln.active = ln.active[:w]
-		w = 0
-		for _, id := range ln.injActive {
-			if !n.inj[id].empty() {
-				ln.injActive[w] = id
-				w++
-			} else {
-				n.injIn[id] = false
-			}
-		}
-		ln.injActive = ln.injActive[:w]
 	}
-	n.moved = moved
+	n.active = n.active[:w]
+	w = 0
+	for _, id := range n.injActive {
+		if !n.inj[id].empty() {
+			n.injActive[w] = id
+			w++
+		} else {
+			n.injIn[id] = false
+		}
+	}
+	n.injActive = n.injActive[:w]
 
 	if n.moved {
 		n.lastMove = n.cycle
 	}
 	n.cycle++
 	n.stats.Cycles = n.cycle
-
-	if n.rebalanceEvery > 0 && len(n.lanes) > 1 && n.cycle%n.rebalanceEvery == 0 {
-		n.rebalanceLanes()
-	}
 }
 
 // Step advances the network by one cycle: injection, router pipelines
-// (RC/VA/SA/ST), then link traversal, and finally the serial tail (credit
-// returns, cross-domain deliveries, compaction). Within each lane only
-// active routers and injecting nodes are visited, in ascending id order —
-// exactly the order the reference full scan produces, so endpoint callbacks
-// and statistics accumulate identically (see injectPhase / routerPhase in
-// parallel.go for the dense/sparse walk).
-//
-// With one lane this is the serial event-sparse kernel. With several lanes,
-// more than one P available (poolOK), and no tracer or span collector
-// attached (both are externally supplied, not thread-safe, and
-// order-sensitive), the lanes run on the persistent worker pool with a
-// barrier between the compute phases and the link phase; otherwise the
-// lanes run inline in lane order, which produces the exact global phase
-// order of the classic kernel because lanes are contiguous ascending ID
-// ranges.
+// (RC/VA/SA/ST), then link traversal, and finally finishCycle (credit
+// returns, compaction). Only active routers and injecting nodes are
+// visited, in ascending id order — exactly the order the reference full
+// scan produces, so endpoint callbacks and statistics accumulate
+// identically.
 func (n *Network) Step() {
 	if n.reference {
 		n.stepReference()
 		return
 	}
-	if len(n.lanes) > 1 && n.poolOK && n.tracer == nil && n.spans == nil {
-		n.stepParallel()
+	n.moved = false
+	n.injectPhase()
+	k, dense := n.routerPhase()
+	n.linkPhaseActive(k, dense)
+	n.finishCycle()
+}
+
+// injectPhase drains injection queues, ascending. Sparse sets are sorted
+// and walked directly; once a set covers a quarter of the mesh, a full
+// ascending scan through the same emptiness gate is cheaper than sorting,
+// and visits the same nodes in the same order.
+//
+//noclint:hotpath root: per-cycle injection phase of the cycle kernel
+func (n *Network) injectPhase() {
+	if len(n.injActive)*4 >= n.numNodes {
+		for id := range n.inj {
+			if !n.inj[id].empty() {
+				n.injectNode(id)
+			}
+		}
+	} else {
+		slices.Sort(n.injActive)
+		for _, id := range n.injActive {
+			n.injectNode(int(id))
+		}
+	}
+}
+
+// routerPhase runs RC/VA/SA/ST for the active routers, ascending. The sort
+// happens after injection so routers woken by this cycle's injected flits
+// are visited, exactly as the reference scan would. It returns the walk it
+// chose — a dense scan, or the length of the sorted active prefix — for the
+// link phase to repeat.
+//
+//noclint:hotpath root: per-cycle router step (RC/VA/SA/ST)
+func (n *Network) routerPhase() (k int, dense bool) {
+	if len(n.active)*4 >= n.numNodes {
+		// Dense: the gates (bufFlits, regCount) are live counters, so this
+		// is the reference loop minus its no-op visits.
+		for i := range n.routers {
+			rt := &n.routers[i]
+			if rt.bufFlits == 0 {
+				continue
+			}
+			n.routeCompute(rt)
+			n.vcAllocate(rt)
+			n.switchAllocateAndTraverse(rt)
+		}
+		return 0, true
+	}
+	// Sparse: snapshot the sorted active prefix; wakes during the phases
+	// append routers that, by construction, have no switch work or link
+	// register to process this cycle.
+	slices.Sort(n.active)
+	k = len(n.active)
+	for i := 0; i < k; i++ {
+		rt := &n.routers[n.active[i]]
+		if rt.bufFlits == 0 {
+			continue // only a link register in flight; nothing to arbitrate
+		}
+		n.routeCompute(rt)
+		n.vcAllocate(rt)
+		n.switchAllocateAndTraverse(rt)
+	}
+	return k, false
+}
+
+// linkPhaseActive delivers completed link traversals, walking the same
+// routers the router phase did.
+//
+//noclint:hotpath root: per-cycle link traversal phase
+func (n *Network) linkPhaseActive(k int, dense bool) {
+	if dense {
+		for i := range n.routers {
+			rt := &n.routers[i]
+			if rt.regCount > 0 {
+				n.linkPhase(rt)
+			}
+		}
 		return
 	}
-	for li := range n.lanes {
-		n.injectPhase(&n.lanes[li])
+	for i := 0; i < k; i++ {
+		rt := &n.routers[n.active[i]]
+		if rt.regCount > 0 {
+			n.linkPhase(rt)
+		}
 	}
-	for li := range n.lanes {
-		n.routerPhase(&n.lanes[li])
-	}
-	for li := range n.lanes {
-		n.linkPhaseLane(&n.lanes[li])
-	}
-	n.finishCycle()
 }
 
 // stepReference is the naive stepper: every node and every router, every
 // cycle. It shares all phase helpers (and therefore all bookkeeping —
 // active-set maintenance included) with the event-sparse kernel; only the
-// iteration differs. Equivalence tests hold the two bit-identical. It
-// always runs inline: lanes are contiguous ascending ID ranges, so the
-// lane-ordered sweeps below are the classic full scans.
+// iteration differs. Equivalence tests hold the two bit-identical.
 func (n *Network) stepReference() {
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		ln.moved = false
-		for id := ln.lo; id < ln.hi; id++ {
-			n.injectNode(ln, id)
-		}
+	n.moved = false
+	for id := range n.inj {
+		n.injectNode(id)
 	}
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		for i := ln.lo; i < ln.hi; i++ {
-			rt := &n.routers[i]
-			n.routeCompute(rt)
-			n.vcAllocate(rt)
-			n.switchAllocateAndTraverse(ln, rt)
-		}
+	for i := range n.routers {
+		rt := &n.routers[i]
+		n.routeCompute(rt)
+		n.vcAllocate(rt)
+		n.switchAllocateAndTraverse(rt)
 	}
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		for i := ln.lo; i < ln.hi; i++ {
-			n.linkPhase(ln, &n.routers[i])
-		}
+	for i := range n.routers {
+		n.linkPhase(&n.routers[i])
 	}
 	n.finishCycle()
 }
@@ -983,35 +867,6 @@ func (n *Network) CheckInvariants() error {
 	}
 	if count != n.inFlight {
 		return fmt.Errorf("noc: flit conservation broken: counted %d, tracked %d", count, n.inFlight)
-	}
-	// Lane-tiling invariant: the stripes must cover [0, numNodes) in
-	// ascending whole-row ranges, and laneOf must agree — a retile that
-	// broke this would corrupt wake routing.
-	prev := 0
-	for li := range n.lanes {
-		ln := &n.lanes[li]
-		if ln.lo != prev || ln.hi <= ln.lo || ln.lo%n.m.Width != 0 {
-			return fmt.Errorf("noc: lane %d covers [%d,%d), previous ended at %d", li, ln.lo, ln.hi, prev)
-		}
-		for id := ln.lo; id < ln.hi; id++ {
-			if int(n.laneOf[id]) != li {
-				return fmt.Errorf("noc: laneOf[%d] = %d, want %d", id, n.laneOf[id], li)
-			}
-		}
-		for _, id := range ln.active {
-			if int(id) < ln.lo || int(id) >= ln.hi {
-				return fmt.Errorf("noc: lane %d [%d,%d) schedules router %d it does not own", li, ln.lo, ln.hi, id)
-			}
-		}
-		for _, id := range ln.injActive {
-			if int(id) < ln.lo || int(id) >= ln.hi {
-				return fmt.Errorf("noc: lane %d [%d,%d) schedules injector %d it does not own", li, ln.lo, ln.hi, id)
-			}
-		}
-		prev = ln.hi
-	}
-	if prev != n.numNodes {
-		return fmt.Errorf("noc: lanes end at %d, want %d", prev, n.numNodes)
 	}
 	return nil
 }

@@ -79,9 +79,9 @@ type router struct {
 
 // routerArena backs every router's per-VC state — input-VC descriptors,
 // ring-buffer storage, credit/pending/owner tables, VA scratch — with a
-// handful of contiguous allocations carved in router-ID order. Domains are
-// contiguous ID ranges, so each worker's hot state is one dense block
-// instead of thousands of individually allocated slices.
+// handful of contiguous allocations carved in router-ID order, so the
+// kernel's ascending walk touches dense blocks instead of thousands of
+// individually allocated slices.
 type routerArena struct {
 	vcs     []inputVC
 	flits   []bufFlit
@@ -180,7 +180,6 @@ func (n *Network) routeCompute(rt *router) {
 			if tab := n.routeTab[cls]; tab != nil {
 				ivc.route = mesh.Direction(tab[int(rt.id)*n.numNodes+int(f.Pkt.Dst)])
 			} else {
-				//noclint:laneowner read-only: routing algorithms are pure functions of (coord, dest, class)
 				ivc.route = n.alg.NextHop(rt.coord, n.m.Coord(mesh.NodeID(f.Pkt.Dst)), cls)
 			}
 			ivc.cls = cls
@@ -261,7 +260,6 @@ func (n *Network) vcAllocate(rt *router) {
 			rt.vaReq--
 			if n.spans != nil {
 				if pkt := rt.in[idx/V][idx%V].buf.front().flit.Pkt; pkt.Sampled {
-					//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
 					n.spans.VCGrant(pkt, int(rt.id), int(op.downNode), ovc, n.cycle)
 				}
 			}
@@ -289,7 +287,7 @@ var _ [2 - packet.NumClasses]struct{}
 // Output ports with no routed demand and input ports with no buffered flits
 // are skipped outright; both gates eliminate only scans that could not have
 // granted anything, so arbitration order is unchanged.
-func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
+func (n *Network) switchAllocateAndTraverse(rt *router) {
 	V := n.vcs
 	var usedInput [mesh.NumPorts]bool
 	var movedVC [mesh.NumPorts]int
@@ -342,7 +340,7 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 				} else if ivc.outVC == -1 || op.credits[ivc.outVC] == 0 {
 					continue
 				}
-				if !n.traverse(ln, rt, p, v, d) {
+				if !n.traverse(rt, p, v, d) {
 					continue // sink refused this packet; try the next VC
 				}
 				usedInput[p] = true
@@ -360,7 +358,7 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 		}
 	}
 	if n.tel != nil || n.spans != nil {
-		n.countStalls(ln, rt, &movedVC)
+		n.countStalls(rt, &movedVC)
 	}
 }
 
@@ -371,11 +369,8 @@ func (n *Network) switchAllocateAndTraverse(ln *lane, rt *router) {
 // pipeline delay and ejection-blocked flits are not charged. The same
 // attribution feeds the aggregate telemetry counters and, for sampled
 // packets, the per-packet span events; observability-only — runs after SA
-// so "moved this cycle" is known exactly. Counter increments land in the
-// lane's private tally and are flushed into the shared telemetry counters at
-// the end of the cycle, in lane order, so the parallel kernel never has two
-// writers on one counter.
-func (n *Network) countStalls(ln *lane, rt *router, movedVC *[mesh.NumPorts]int) {
+// so "moved this cycle" is known exactly.
+func (n *Network) countStalls(rt *router, movedVC *[mesh.NumPorts]int) {
 	for p := 0; p < mesh.NumPorts; p++ {
 		if rt.portFlits[p] == 0 {
 			continue
@@ -403,16 +398,15 @@ func (n *Network) countStalls(ln *lane, rt *router, movedVC *[mesh.NumPorts]int)
 			if n.tel != nil {
 				switch cause {
 				case obs.StallVCAlloc:
-					ln.stallVCAlloc++
+					n.tel.StallVCAlloc.Inc()
 				case obs.StallCredit:
-					ln.stallCredit++
+					n.tel.StallCredit.Inc()
 				default:
-					ln.stallRoute++
+					n.tel.StallRoute.Inc()
 				}
 			}
 			if n.spans != nil {
 				if pkt := ivc.buf.front().flit.Pkt; pkt.Sampled {
-					//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
 					n.spans.Stall(pkt, int(rt.id), cause, n.cycle)
 				}
 			}
@@ -423,13 +417,7 @@ func (n *Network) countStalls(ln *lane, rt *router, movedVC *[mesh.NumPorts]int)
 // traverse moves the front flit of input VC (p,v) through output d. It
 // returns false when a sink refuses the flit (ejection only); nothing moves
 // in that case.
-//
-// Shared-state discipline for the parallel kernel: everything written here
-// is either owned by the lane stepping rt (the router itself, ln's stats
-// shard and tallies), a single-writer slot keyed by rt (link-flit counters,
-// the upstream port's pending tally — each written only by the one lane that
-// owns the downstream router), or serial-only (tracer, spans).
-func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) bool {
+func (n *Network) traverse(rt *router, p, v int, d mesh.Direction) bool {
 	ivc := &rt.in[p][v]
 	if d == mesh.Local {
 		front := &ivc.buf.front().flit
@@ -452,29 +440,23 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 	// Return a credit upstream for the freed buffer slot (not for the
 	// injection port: the injection queue tracks its own space).
 	if p != int(mesh.Local) {
-		n.queueCredit(ln, rt, mesh.Direction(p), v)
+		n.queueCredit(rt, mesh.Direction(p), v)
 	}
 
 	if d == mesh.Local {
-		ln.ejectedFlits++
+		n.inFlight--
 		if n.tel != nil {
-			//noclint:laneowner single-writer counter: router rt ejects only on its owning lane
 			n.tel.EjFlits[rt.id].Inc()
 		}
 		if f.Tail {
-			ln.stats.CountEjection(f.Pkt)
+			n.stats.CountEjection(f.Pkt)
 			if n.tracer != nil {
-				//noclint:laneowner serial-only: Step runs lanes inline whenever a tracer is attached
 				n.tracer.PacketEjected(f.Pkt, n.cycle)
 			}
 			if n.tel != nil {
-				// Deferred to the end-of-cycle flush: the latency histograms
-				// are shared across lanes, so observations are replayed in
-				// lane order at the cycle boundary.
-				ln.ejected = append(ln.ejected, f.Pkt) //noclint:hotpath amortized: ejected keeps its backing array across the serial tail's [:0] reset
+				n.tel.PacketEjected(f.Pkt, n.cycle)
 			}
 			if n.spans != nil && f.Pkt.Sampled {
-				//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
 				n.spans.Ejected(f.Pkt, n.cycle)
 			}
 		}
@@ -486,18 +468,14 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		op.regValid = true
 		op.regReadyAt = n.cycle + n.linkPeriod - 1
 		rt.regCount++
-		//noclint:laneowner single-writer counter: the link (rt, d) is traversed only by rt's owning lane
 		n.stats.CountLink(mesh.Link{From: rt.id, Dir: d}, f.Pkt.Class())
 		if n.tracer != nil {
-			//noclint:laneowner serial-only: Step runs lanes inline whenever a tracer is attached
 			n.tracer.FlitHop(f, mesh.Link{From: rt.id, Dir: d}, n.cycle)
 		}
 		if n.tel != nil {
-			//noclint:laneowner single-writer counter: the link (rt, d) is traversed only by rt's owning lane
 			n.tel.LinkFlits[f.Pkt.Class()][n.m.LinkIndex(mesh.Link{From: rt.id, Dir: d})].Inc()
 		}
 		if n.spans != nil && f.Head && f.Pkt.Sampled {
-			//noclint:laneowner serial-only: Step runs lanes inline whenever a span collector is attached
 			n.spans.Hop(f.Pkt, int(rt.id), int(op.downNode), ivc.outVC, n.cycle)
 		}
 	}
@@ -511,6 +489,6 @@ func (n *Network) traverse(ln *lane, rt *router, p, v int, d mesh.Direction) boo
 		ivc.routed = false
 		ivc.outVC = -1
 	}
-	ln.moved = true
+	n.moved = true
 	return true
 }

@@ -84,9 +84,17 @@ func (r Record) Canonical() Record {
 }
 
 // Fingerprint identifies the job's exact (benchmark, configuration) pair:
-// a truncated SHA-256 over the canonical JSON encoding. Two jobs share a
-// fingerprint iff they would simulate the same thing, which is what makes
-// resume (skip fingerprints already on disk) sound.
+// a truncated SHA-256 over the canonical JSON encoding. Every configuration
+// field is hashed, including execution-only ones such as FastForward and
+// NoC.ReferenceStepper that change how a run is stepped but not what it
+// computes. So equal fingerprints mean the same simulation, but two jobs
+// that would produce identical results can still differ in fingerprint.
+// That is what makes resume (skip fingerprints already on disk) sound.
+//
+// The NoC object is hashed with the two retired knobs, Workers and
+// RebalanceEpoch, written back as the constants every job carried before
+// they were removed. This keeps fingerprints stable across that removal, so
+// existing result files, fabric stores and benchmark goldens still match.
 func (j Job) Fingerprint() string {
 	b, err := json.Marshal(struct {
 		Benchmark string
@@ -96,6 +104,12 @@ func (j Job) Fingerprint() string {
 		// config.Config is a plain value struct; Marshal cannot fail.
 		panic("sweep: fingerprint encoding: " + err.Error())
 	}
+	noc, err := json.Marshal(j.Cfg.NoC)
+	if err != nil {
+		panic("sweep: fingerprint encoding: " + err.Error())
+	}
+	legacy := append(noc[:len(noc)-1:len(noc)-1], `,"Workers":1,"RebalanceEpoch":0}`...)
+	b = bytes.Replace(b, noc, legacy, 1)
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
 }

@@ -157,6 +157,31 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned pins fingerprints to values recorded before the
+// intra-run parallelism knobs (NoC.Workers, NoC.RebalanceEpoch) were
+// removed. Result files, fabric stores and the benchmark goldens are keyed
+// by these hashes, so they must not drift when configuration fields retire.
+func TestFingerprintPinned(t *testing.T) {
+	base := Job{Benchmark: "KMN", Cfg: config.Default()}
+	large := base
+	large.Cfg.NoC.Width, large.Cfg.NoC.Height = 16, 16
+	large.Cfg.Mem.NumMCs = 16
+	large.Cfg.Core.NumSMs = 240
+	large.Cfg.FastForward = true
+	for _, c := range []struct {
+		name string
+		job  Job
+		want string
+	}{
+		{"default 8x8", base, "226bf1087259dc54"},
+		{"16x16 fast-forward", large, "431117e141d3bd90"},
+	} {
+		if got := c.job.Fingerprint(); got != c.want {
+			t.Errorf("%s: fingerprint %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	jobs, _, err := smallSpec().Expand()
 	if err != nil {

@@ -42,7 +42,6 @@ func newSim(t *testing.T, cfg config.Config, bench string, inst gpu.Instrumentat
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sim.Close)
 	return sim
 }
 
