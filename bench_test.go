@@ -436,7 +436,7 @@ func BenchmarkGPUCycleFastForward(b *testing.B) {
 // is BenchmarkGPUCycle itself, which now carries the nil probe checks.
 func BenchmarkGPUCycleTelemetry(b *testing.B) {
 	cfg := config.Default()
-	sim, err := gpu.NewInstrumented(cfg, workload.MustGet("KMN"), gpu.Instrumentation{TelemetryEpoch: 1000})
+	sim, err := gpu.NewInstrumented(cfg, workload.MustGet("KMN"), gpu.RunOptions{TelemetryEpoch: 1000})
 	if err != nil {
 		b.Fatal(err)
 	}

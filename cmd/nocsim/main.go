@@ -21,7 +21,6 @@ import (
 	"gpgpunoc/internal/experiments"
 	"gpgpunoc/internal/gpu"
 	"gpgpunoc/internal/mesh"
-	"gpgpunoc/internal/noc"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/profiling"
@@ -89,7 +88,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	}
-	inst := gpu.Instrumentation{
+	opts := gpu.RunOptions{
+		SanitizeEvery:  *sanitize,
 		TelemetryEpoch: *telEpoch,
 		Spans:          of.SpansEnabled(),
 		SpanRate:       of.SampleRate,
@@ -103,32 +103,26 @@ func main() {
 		}
 		// No Close: the server lives until process exit so late scrapes
 		// still see the final snapshot.
-		inst.Obs = srv
-		inst.PublishEvery = of.PublishEvery
+		opts.Obs = srv
+		opts.PublishEvery = of.PublishEvery
 	}
-	sim, err := gpu.NewInstrumented(cfg, prof, inst)
+	sim, err := gpu.NewInstrumented(cfg, prof, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		exit(1)
 	}
-	sim.SanitizeEvery = *sanitize
 	if srv != nil {
 		fmt.Printf("observability: http://%s/{metrics,state,progress,healthz}\n", srv.Addr())
 	}
 	var traceFlush func() error
 	if *traceCSV != "" {
-		net, ok := sim.Net.(*noc.Network)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "tracing is not supported with -dual")
-			exit(1)
-		}
 		f, err := os.Create(*traceCSV)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit(1)
 		}
 		cw := trace.NewCSVWriter(f)
-		net.SetTracer(cw)
+		sim.Net.Observe(cw)
 		traceFlush = func() error {
 			if err := cw.Flush(); err != nil {
 				return err

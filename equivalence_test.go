@@ -216,7 +216,7 @@ func runProfile(t *testing.T, cfg config.Config, prof workload.Profile, ff bool)
 	if ff {
 		c.FastForward = true
 	}
-	sim, err := gpu.NewInstrumented(c, prof, gpu.Instrumentation{TelemetryEpoch: 400})
+	sim, err := gpu.NewInstrumented(c, prof, gpu.RunOptions{TelemetryEpoch: 400})
 	if err != nil {
 		t.Fatal(err)
 	}

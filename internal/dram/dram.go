@@ -68,8 +68,9 @@ type bank struct {
 	busyTill int64
 }
 
-// IssueHook observes command issue for span tracing: the access id, the
-// bank it issued to, whether it hit the open row, and the issue cycle.
+// IssueHook observes command issue: the access id, the bank it issued to,
+// whether it hit the open row, and the issue cycle. The memory controller
+// turns it into its EvDRAMIssue observation.
 // Implementations must not touch channel state.
 type IssueHook func(id uint64, bank int, rowHit bool, now int64)
 

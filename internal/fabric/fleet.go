@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"gpgpunoc/internal/fleetobs"
+	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/telemetry"
 )
 
@@ -205,7 +206,7 @@ func (c *Coordinator) attachWorkerSpansLocked(workerID string, spans []WireSpan)
 // derived sample the registry's int64 probes cannot express: jobs/sec over
 // the coordinator's lifetime.
 func (c *Coordinator) renderMetricsLocked() []byte {
-	b := fleetobs.RenderProm(c.met.reg)
+	b := obs.RenderFleetPrometheus(c.met.reg)
 	secs := time.Since(c.start).Seconds()
 	rate := 0.0
 	if secs > 0 {

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"gpgpunoc/internal/fleetobs"
 	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/sweep"
 	"gpgpunoc/internal/telemetry"
@@ -92,7 +91,7 @@ func (w *Worker) publishObs() {
 	if w.obsrv == nil {
 		return
 	}
-	w.obsrv.SetMetrics(fleetobs.RenderProm(w.wmet.reg))
+	w.obsrv.SetMetrics(obs.RenderFleetPrometheus(w.wmet.reg))
 }
 
 // NewWorker returns a worker for the coordinator at baseURL

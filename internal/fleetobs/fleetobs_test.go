@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"gpgpunoc/internal/telemetry"
 )
 
 func TestRecorderRetainsRecent(t *testing.T) {
@@ -123,6 +121,30 @@ func TestDumpDroppedCount(t *testing.T) {
 	if len(events) != 4 || events[0].Seq != 6 {
 		t.Fatalf("events %+v", events)
 	}
+
+	// The header is the first non-blank line, wherever blank lines sit.
+	hdr2, events2, err := ReadDump(strings.NewReader("\n" + strings.ReplaceAll(dumpString(t, small), "\n", "\n\n")))
+	if err != nil {
+		t.Fatalf("ReadDump with blank lines: %v", err)
+	}
+	if hdr2 != hdr || len(events2) != len(events) {
+		t.Fatalf("blank lines changed the parse: %+v %d events", hdr2, len(events2))
+	}
+	for _, in := range []string{"", "\n\n", " \n\t\n"} {
+		if _, _, err := ReadDump(strings.NewReader(in)); err == nil {
+			t.Errorf("dump %q without a header: want error", in)
+		}
+	}
+}
+
+// dumpString renders r's dump as a string.
+func dumpString(t *testing.T, r *Recorder) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := r.WriteJSONL(&b, "coordinator", "lease expiry"); err != nil {
+		t.Fatalf("WriteJSONL: %v", err)
+	}
+	return b.String()
 }
 
 func TestKindStringsRoundTrip(t *testing.T) {
@@ -134,43 +156,6 @@ func TestKindStringsRoundTrip(t *testing.T) {
 	}
 	if s := Kind(200).String(); s != "kind(200)" {
 		t.Fatalf("out-of-range kind string %q", s)
-	}
-}
-
-func TestRenderProm(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	subs := reg.Counter("fleet.submits")
-	subs.Add(3)
-	reg.Gauge("fleet.queue_depth").Set(7)
-	reg.Counter("fleet.worker.w1.jobs_done").Add(5)
-	reg.GaugeFunc("fleet.worker.w1.heartbeat_age_ms", func() int64 { return 250 })
-	reg.Counter("other.thing").Inc()
-
-	out := string(RenderProm(reg))
-	for _, want := range []string{
-		"# TYPE fleet_submits_total counter",
-		"fleet_submits_total 3",
-		"# TYPE fleet_queue_depth gauge",
-		"fleet_queue_depth 7",
-		`fleet_worker_jobs_done_total{worker="w1"} 5`,
-		`fleet_worker_heartbeat_age_ms{worker="w1"} 250`,
-		`fleet_probe{name="other.thing"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("RenderProm output missing %q:\n%s", want, out)
-		}
-	}
-	// Families must be sorted by name.
-	var fams []string
-	for _, line := range strings.Split(out, "\n") {
-		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			fams = append(fams, strings.Fields(f)[0])
-		}
-	}
-	for i := 1; i < len(fams); i++ {
-		if fams[i] < fams[i-1] {
-			t.Fatalf("families not sorted: %v", fams)
-		}
 	}
 }
 

@@ -2,11 +2,11 @@
 // simulator and the sweep fabric: a bounded, allocation-free flight recorder
 // of recent events (cycle-domain on the simulator side, lease/heartbeat
 // wall-time events on the coordinator side), a per-job span timeline model
-// for the /sweeps/{id}/timeline endpoint, and a Prometheus text renderer for
-// the fleet probe naming scheme.
+// for the /sweeps/{id}/timeline endpoint. The fleet probes render to
+// Prometheus text through obs.RenderFleetPrometheus.
 //
 // The recorder follows the repository's nil-gated observability idiom
-// (telemetry probes, noc.Network.SetTracer): an unattached recorder costs
+// (the obs.Observer event sites): an unattached recorder costs
 // one predictable nil check per site, and recording into an attached one is
 // a plain struct store into a preallocated ring — no allocation, no locks.
 // The ring is single-writer: the simulation stepping goroutine on the sim
@@ -235,20 +235,23 @@ func (r *Recorder) Dump(dir, name, source, reason string) (string, error) {
 	return path, nil
 }
 
-// ReadDump parses a dump produced by WriteJSONL.
+// ReadDump parses a dump produced by WriteJSONL. Blank lines are skipped;
+// the first non-blank line is the header, and input without one is an
+// error.
 func ReadDump(r io.Reader) (DumpHeader, []Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var hdr DumpHeader
 	var events []Event
-	line := 0
+	line, seenHeader := 0, false
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" {
 			continue
 		}
-		if line == 1 {
+		if !seenHeader {
+			seenHeader = true
 			if err := json.Unmarshal([]byte(text), &hdr); err != nil {
 				return hdr, nil, fmt.Errorf("fleetobs: dump header: %w", err)
 			}
@@ -270,7 +273,7 @@ func ReadDump(r io.Reader) (DumpHeader, []Event, error) {
 	if err := sc.Err(); err != nil {
 		return hdr, nil, err
 	}
-	if line == 0 {
+	if !seenHeader {
 		return hdr, nil, fmt.Errorf("fleetobs: empty dump")
 	}
 	return hdr, events, nil

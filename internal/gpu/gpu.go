@@ -39,19 +39,19 @@ type Simulator struct {
 	// default) disables the sanitizer entirely.
 	SanitizeEvery int
 
-	// Tel, when non-nil (see Instrumentation.TelemetryEpoch), is the
+	// Tel, when non-nil (see RunOptions.TelemetryEpoch), is the
 	// cycle-domain observability subsystem: the run loop drives its epoch
 	// sampler and the result carries it for export. Nil costs one branch
 	// per cycle.
 	Tel *telemetry.Telemetry
 
-	// Spans, when non-nil (see Instrumentation.Spans), is the per-packet
-	// span collector: every probe site in the fabric and the memory system
-	// records lifecycle events for the deterministic sample of packets it
-	// selects. Nil-gated like Tel.
+	// Spans, when non-nil (see RunOptions.Spans), is the per-packet span
+	// collector: subscribed to the fabric's and the memory controllers'
+	// event streams, it records lifecycle events for the deterministic
+	// sample of packets it selects.
 	Spans *obs.Spans
 
-	// Pub, when non-nil (see Instrumentation.Obs), publishes /metrics,
+	// Pub, when non-nil (see RunOptions.Obs), publishes /metrics,
 	// /state and /progress snapshots to an obs.Server at cycle boundaries.
 	// Driven from Step on the simulation goroutine, so every published
 	// snapshot sees a quiescent kernel.
@@ -145,32 +145,35 @@ func New(cfg config.Config, prof workload.Profile) (*Simulator, error) {
 	return s, nil
 }
 
-// NewInstrumented is New plus observability applied at construction, before
-// the first cycle: telemetry when inst.TelemetryEpoch > 0, span tracing when
-// inst.Spans, live HTTP exposition when inst.Obs is set. Instrumentation is
-// a construction-time decision; there is no post-construction attach API.
-func NewInstrumented(cfg config.Config, prof workload.Profile, inst Instrumentation) (*Simulator, error) {
+// NewInstrumented is New plus the run options applied at construction,
+// before the first cycle: the sanitizer period, telemetry when
+// opts.TelemetryEpoch > 0, span tracing when opts.Spans, live HTTP
+// exposition when opts.Obs is set, and the flight recorder when
+// opts.FlightRecorder > 0. Observability is a construction-time decision;
+// only the flight recorder also has a post-construction attach API.
+func NewInstrumented(cfg config.Config, prof workload.Profile, opts RunOptions) (*Simulator, error) {
 	s, err := New(cfg, prof)
 	if err != nil {
 		return nil, err
 	}
-	if inst.TelemetryEpoch > 0 {
-		s.attachTelemetry(inst.TelemetryEpoch)
+	s.SanitizeEvery = opts.SanitizeEvery
+	if opts.TelemetryEpoch > 0 {
+		s.attachTelemetry(opts.TelemetryEpoch)
 	}
-	if inst.Spans {
-		if _, err := s.attachSpans(inst.SpanRate); err != nil {
+	if opts.Spans {
+		if _, err := s.attachSpans(opts.SpanRate); err != nil {
 			return nil, err
 		}
 	}
-	if inst.Obs != nil {
-		every := inst.PublishEvery
+	if opts.Obs != nil {
+		every := opts.PublishEvery
 		if every <= 0 {
 			every = defaultPublishEvery
 		}
-		s.attachObs(inst.Obs, every)
+		s.attachObs(opts.Obs, every)
 	}
-	if inst.FlightRecorder > 0 {
-		s.AttachFlight(inst.FlightRecorder, inst.FlightDir)
+	if opts.FlightRecorder > 0 {
+		s.AttachFlight(opts.FlightRecorder, opts.FlightDir)
 	}
 	return s, nil
 }
@@ -195,9 +198,15 @@ func (s *Simulator) AttachFlight(size int, dir string) *fleetobs.Recorder {
 // obs server is requested without an explicit cadence.
 const defaultPublishEvery = 1024
 
-// Instrumentation selects the observability to build into a simulator at
-// construction. The zero value instruments nothing.
-type Instrumentation struct {
+// RunOptions selects the checking and observability built into a
+// simulator at construction (NewInstrumented, Run). The zero value is the
+// plain uninstrumented run.
+type RunOptions struct {
+	// SanitizeEvery > 0 validates the interconnect's internal invariants
+	// every SanitizeEvery cycles, aborting the run with an error on the
+	// first violation.
+	SanitizeEvery int
+
 	// TelemetryEpoch > 0 attaches the cycle-domain telemetry subsystem
 	// sampling every TelemetryEpoch cycles; the result's Tel field carries
 	// the collected series for export.
@@ -258,11 +267,11 @@ func (s *Simulator) instrument(reg *telemetry.Registry) {
 
 // attachSpans installs per-packet span tracing: a deterministic sampler
 // (seeded by the run's RNG seed, so reruns trace the same packets) selects
-// the given fraction of request packets at injection, and every probe site
-// in the fabric, the MCs, and the DRAM channels records lifecycle events
-// for them and their replies. Call once, before the first cycle. Rate 0
-// installs the collector but samples nothing — useful for overhead
-// equivalence checks.
+// the given fraction of request packets at injection, and the collector,
+// subscribed to the fabric's and every MC's event stream, records
+// lifecycle events for them and their replies. Call once, before the first
+// cycle. Rate 0 installs the collector but samples nothing — useful for
+// overhead equivalence checks.
 func (s *Simulator) attachSpans(rate float64) (*obs.Spans, error) {
 	if s.Spans != nil {
 		panic("gpu: spans attached twice")
@@ -271,9 +280,9 @@ func (s *Simulator) attachSpans(rate float64) (*obs.Spans, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.Net.SetSpans(sp)
+	s.Net.Observe(sp)
 	for _, m := range s.MCs {
-		m.SetSpans(sp)
+		m.Observe(sp)
 	}
 	s.Spans = sp
 	return sp, nil
@@ -413,12 +422,12 @@ type Result struct {
 	Net *stats.Net
 
 	// Tel carries the telemetry subsystem when the run was instrumented
-	// (Instrumentation.TelemetryEpoch); nil otherwise. Its exporters write
+	// (RunOptions.TelemetryEpoch); nil otherwise. Its exporters write
 	// the run's time-series, heatmap, and trace artifacts.
 	Tel *telemetry.Telemetry
 
 	// Spans carries the per-packet span collector when the run was traced
-	// (Instrumentation.Spans); nil otherwise. Its exporters write the span
+	// (RunOptions.Spans); nil otherwise. Its exporters write the span
 	// JSONL log and the Chrome trace-event file.
 	Spans *obs.Spans
 
@@ -598,35 +607,6 @@ func delta(before, after stats.GPU) stats.GPU {
 	}
 }
 
-// RunOptions configures one Run call. The zero value is the plain
-// uninstrumented run on the configured kernel.
-type RunOptions struct {
-	// SanitizeEvery > 0 validates the interconnect's internal invariants
-	// every SanitizeEvery cycles, aborting the run with an error on the
-	// first violation.
-	SanitizeEvery int
-
-	// TelemetryEpoch > 0 attaches the telemetry subsystem sampling every
-	// TelemetryEpoch cycles; the result's Tel field carries the series.
-	TelemetryEpoch int64
-
-	// Spans attaches per-packet span tracing at SpanRate; see
-	// Instrumentation.
-	Spans    bool
-	SpanRate float64
-
-	// FastForward turns on idle-cycle skipping (see Config.FastForward);
-	// it never turns a configured-on value off. Results are bit-identical
-	// either way.
-	FastForward bool
-
-	// FlightRecorder > 0 attaches the flight recorder retaining that many
-	// recent events; FlightDir is where post-mortem dumps land ("" keeps
-	// the ring in memory only). See Instrumentation.
-	FlightRecorder int
-	FlightDir      string
-}
-
 // Run is the one-call runner: build a simulator for cfg and the named
 // benchmark with the requested instrumentation, simulate warmup then
 // measurement under ctx's cancellation, and return the result. On cancellation the partial result is returned
@@ -636,19 +616,9 @@ func Run(ctx context.Context, cfg config.Config, benchmark string, opts RunOptio
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.FastForward {
-		cfg.FastForward = true
-	}
-	sim, err := NewInstrumented(cfg, prof, Instrumentation{
-		TelemetryEpoch: opts.TelemetryEpoch,
-		Spans:          opts.Spans,
-		SpanRate:       opts.SpanRate,
-		FlightRecorder: opts.FlightRecorder,
-		FlightDir:      opts.FlightDir,
-	})
+	sim, err := NewInstrumented(cfg, prof, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	sim.SanitizeEvery = opts.SanitizeEvery
 	return sim.RunContext(ctx)
 }

@@ -48,11 +48,13 @@ type MC struct {
 	nextDRAMID uint64
 	svcTokens  int // clock-domain throttle
 
-	gpu   *stats.GPU
-	spans *obs.Spans
+	gpu      *stats.GPU
+	observer obs.Observer // nil when uninstrumented
 
 	// ReadsServed and WritesServed count serviced requests.
 	ReadsServed, WritesServed int64
+
+	ev obs.Observation // the event being delivered; see emit
 }
 
 // New builds an MC at node for slice index idx.
@@ -92,22 +94,29 @@ func (m *MC) AttachTelemetry(reg *telemetry.Registry) {
 	m.dram.AttachTelemetry(reg, prefix+"dram.")
 }
 
-// SetSpans installs the span collector (nil disables span tracing): the MC
-// records L2 lookup, DRAM queue/issue/completion, and reply-creation events
-// for sampled requests, and links each reply to its request's trace. The
-// DRAM issue hook is installed only when spans are on, so an untraced
-// channel pays nothing.
-func (m *MC) SetSpans(sp *obs.Spans) {
-	m.spans = sp
-	if sp == nil {
-		m.dram.SetIssueHook(nil)
-		return
+// Observe subscribes o to this controller's event stream: L2 lookup, DRAM
+// queue/issue/completion, and reply creation (which links each reply to its
+// request). Subscribers compose: each call adds one. The DRAM issue hook is
+// installed with the first subscriber, so an unobserved channel pays
+// nothing.
+func (m *MC) Observe(o obs.Observer) {
+	if m.observer == nil {
+		m.dram.SetIssueHook(func(id uint64, bank int, rowHit bool, now int64) {
+			if req := m.dramWait[id]; req != nil { // write-backs carry no request
+				m.emit(obs.Observation{Kind: obs.EvDRAMIssue, Flit: packet.Flit{Pkt: req},
+					Node: int(m.Node), Bank: bank, Hit: rowHit, Cycle: now})
+			}
+		})
 	}
-	m.dram.SetIssueHook(func(id uint64, bank int, rowHit bool, now int64) {
-		if req := m.dramWait[id]; req != nil && req.Sampled {
-			m.spans.DRAMIssue(req, int(m.Node), bank, rowHit, now)
-		}
-	})
+	m.observer = obs.Subscribe(m.observer, o)
+}
+
+// emit delivers one event to the observer; callers have checked that one
+// is subscribed. The event is staged in the controller's own slot and
+// passed by pointer, so delivery does not allocate.
+func (m *MC) emit(o obs.Observation) {
+	m.ev = o
+	m.observer.Observe(&m.ev)
 }
 
 // L2 exposes the cache for inspection in tests and reports.
@@ -155,8 +164,8 @@ func (m *MC) service(req *packet.Packet, now int64) {
 		m.ReadsServed++
 	}
 	res := m.l2.Access(m.localAddr(req.Access.Addr), isWrite)
-	if m.spans != nil && req.Sampled {
-		m.spans.MCService(req, int(m.Node), res.Hit, now)
+	if m.observer != nil {
+		m.emit(obs.Observation{Kind: obs.EvMCService, Flit: packet.Flit{Pkt: req}, Node: int(m.Node), Hit: res.Hit, Cycle: now})
 	}
 	if res.Eviction {
 		// Dirty L2 victim: write back to DRAM. Bandwidth matters, the
@@ -191,8 +200,8 @@ func (m *MC) tryDRAM(req *packet.Packet, now int64) bool {
 		return false
 	}
 	m.dramWait[id] = req
-	if m.spans != nil && req.Sampled {
-		m.spans.DRAMQueued(req, int(m.Node), now)
+	if m.observer != nil {
+		m.emit(obs.Observation{Kind: obs.EvDRAMQueued, Flit: packet.Flit{Pkt: req}, Node: int(m.Node), Cycle: now})
 	}
 	return true
 }
@@ -220,8 +229,8 @@ func (m *MC) makeReply(req *packet.Packet, now int64) *packet.Packet {
 		ReqEjectedAt:  req.EjectedAt,
 		ReqTimed:      true,
 	}
-	if m.spans != nil && req.Sampled {
-		m.spans.LinkReply(req, rep, now)
+	if m.observer != nil {
+		m.emit(obs.Observation{Kind: obs.EvReply, Flit: packet.Flit{Pkt: req}, Reply: rep, Node: int(m.Node), Cycle: now})
 	}
 	return rep
 }
@@ -285,8 +294,8 @@ func (m *MC) Tick(now int64) {
 			panic("mc: DRAM completion for unknown access")
 		}
 		delete(m.dramWait, id)
-		if m.spans != nil && req.Sampled {
-			m.spans.DRAMDone(req, int(m.Node), now)
+		if m.observer != nil {
+			m.emit(obs.Observation{Kind: obs.EvDRAMDone, Flit: packet.Flit{Pkt: req}, Node: int(m.Node), Cycle: now})
 		}
 		m.outbox = append(m.outbox, m.makeReply(req, now))
 	}

@@ -131,12 +131,12 @@ func (d *Dual) AttachTelemetry(reg *telemetry.Registry) {
 	d.reply.attachTelemetry(reg, "rep.")
 }
 
-// SetSpans installs one span collector on both subnets. The sampling hash
-// is a pure function of the packet ID, so a transaction's request (on one
+// Observe subscribes o to both subnets' event streams. Span sampling is a
+// pure function of the packet ID, so a transaction's request (on one
 // subnet) and reply (on the other) land in the same trace.
-func (d *Dual) SetSpans(sp *obs.Spans) {
-	d.request.SetSpans(sp)
-	d.reply.SetSpans(sp)
+func (d *Dual) Observe(o obs.Observer) {
+	d.request.Observe(o)
+	d.reply.Observe(o)
 }
 
 // StateSnapshot captures both subnets under the "req"/"rep" names. Call

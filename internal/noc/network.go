@@ -48,19 +48,6 @@ import (
 // backpressure into the network.
 type Sink func(f packet.Flit) bool
 
-// Tracer observes packet lifecycle events. Implementations must be cheap:
-// hooks run on the hot path (package trace provides buffered writers and an
-// in-memory collector). A nil tracer costs one predictable branch.
-type Tracer interface {
-	// PacketInjected fires when a packet's head flit enters its source
-	// router.
-	PacketInjected(p *packet.Packet, cycle int64)
-	// FlitHop fires for every flit crossing every inter-router link.
-	FlitHop(f packet.Flit, l mesh.Link, cycle int64)
-	// PacketEjected fires when a packet's tail flit reaches its sink.
-	PacketEjected(p *packet.Packet, cycle int64)
-}
-
 // Interconnect is the interface endpoints drive. Network implements it for a
 // single physical network; Dual implements it for the two-physical-subnets
 // comparison of Section 4.2.
@@ -92,13 +79,14 @@ type Interconnect interface {
 	CheckInvariants() error
 	// AttachTelemetry registers the fabric's cycle-domain probes (per-link
 	// flit counters by class, VC occupancy gauges, stall attribution) on
-	// reg. A nil registry leaves the fabric un-instrumented: every probe
-	// site then costs one predictable nil check, like a nil Tracer.
+	// reg and subscribes the counters to the event stream. A nil registry
+	// is a no-op.
 	AttachTelemetry(reg *telemetry.Registry)
-	// SetSpans installs the per-packet span collector (nil disables span
-	// tracing; like a nil Tracer, disabled tracing costs one predictable
-	// nil check per probe site).
-	SetSpans(sp *obs.Spans)
+	// Observe subscribes o to the fabric's event stream (queued, injected,
+	// VC grant, stall, hop and ejected events). Subscribers compose: each
+	// call adds one. A fabric with no subscriber pays one nil check per
+	// event site.
+	Observe(o obs.Observer)
 	// StateSnapshot captures per-link/per-VC occupancy and active-set
 	// sizes. Callers must invoke it only at a cycle boundary (between
 	// Step calls) so the kernel is never read mid-phase.
@@ -189,13 +177,13 @@ type Network struct {
 	injRng [][packet.NumClasses]vc.Range
 
 	stats    *stats.Net
-	tracer   Tracer
-	tel      *telemetry.NetProbes
-	spans    *obs.Spans
+	observer obs.Observer // nil when uninstrumented
 	cycle    int64
 	moved    bool
 	lastMove int64
 	inFlight int // flits inside routers + injection queues
+
+	ev obs.Observation // the event being delivered; see emit
 }
 
 // Option tweaks network construction.
@@ -391,8 +379,8 @@ func (n *Network) Inject(p *packet.Packet) bool {
 	q.flits += p.Flits
 	n.inFlight += p.Flits
 	n.wakeInj(mesh.NodeID(p.Src))
-	if n.spans != nil {
-		n.spans.Offer(p)
+	if n.observer != nil {
+		n.emit(obs.Observation{Kind: obs.EvCreated, Flit: packet.Flit{Pkt: p}, Node: p.Src, Cycle: n.cycle})
 	}
 	return true
 }
@@ -406,13 +394,16 @@ func (n *Network) InjectSpace(node mesh.NodeID) int {
 // SetSink installs the ejection callback for node.
 func (n *Network) SetSink(node mesh.NodeID, s Sink) { n.sinks[node] = s }
 
-// SetTracer installs a lifecycle observer (nil disables tracing).
-func (n *Network) SetTracer(tr Tracer) { n.tracer = tr }
+// Observe subscribes o to this network's event stream.
+func (n *Network) Observe(o obs.Observer) { n.observer = obs.Subscribe(n.observer, o) }
 
-// SetSpans installs the per-packet span collector (nil disables span
-// tracing). Probe sites gate on the collector pointer and the packet's
-// Sampled bit, so tracing off costs one branch per site.
-func (n *Network) SetSpans(sp *obs.Spans) { n.spans = sp }
+// emit delivers one event to the observer; callers have checked that one
+// is subscribed. The event is staged in the network's own slot and passed
+// by pointer, so delivery neither allocates nor copies it per subscriber.
+func (n *Network) emit(o obs.Observation) {
+	n.ev = o
+	n.observer.Observe(&n.ev)
+}
 
 // StateSnapshot captures the fabric's occupancy for the /state endpoint.
 // Call only at a cycle boundary.
@@ -475,9 +466,10 @@ func (n *Network) subnetState(name string) obs.SubnetState {
 }
 
 // AttachTelemetry registers this network's probe set on reg (nil is a
-// no-op). Counting sites are gated on one nil check; instantaneous levels
-// (VC occupancy, injection-queue backlog) are GaugeFuncs read only when the
-// epoch sampler fires, so they cost nothing per cycle.
+// no-op). The counters are fed by a subscriber to the event stream;
+// instantaneous levels (VC occupancy, injection-queue backlog) are
+// GaugeFuncs read only when the epoch sampler fires, so they cost nothing
+// per cycle.
 func (n *Network) AttachTelemetry(reg *telemetry.Registry) {
 	n.attachTelemetry(reg, "")
 }
@@ -488,7 +480,7 @@ func (n *Network) attachTelemetry(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	n.tel = telemetry.NewNetProbes(reg, n.m, prefix)
+	n.Observe(&counters{telemetry.NewNetProbes(reg, n.m, prefix), n.m})
 	// Buffer-fill gauges live here because VC buffers are router-private:
 	// one GaugeFunc per (link, VC) reading the downstream input buffer, and
 	// one per node reading the injection-queue backlog.
@@ -511,6 +503,41 @@ func (n *Network) attachTelemetry(reg *telemetry.Registry, prefix string) {
 		q := &n.inj[id]
 		reg.GaugeFunc(fmt.Sprintf("%snode.%d.injq.flits", prefix, id),
 			func() int64 { return int64(q.flits) })
+	}
+}
+
+// counters feeds one network's telemetry counters from its event stream:
+// flits entering and leaving the fabric per node, flit traversals per link
+// and class, stall attributions, and at each tail ejection the latency
+// decomposition.
+type counters struct {
+	np *telemetry.NetProbes
+	m  mesh.Mesh
+}
+
+// Observe implements obs.Observer.
+//
+//noclint:hotpath root: telemetry counting, once per instrumented event
+func (c *counters) Observe(o *obs.Observation) {
+	switch o.Kind {
+	case obs.EvInjected:
+		c.np.InjFlits[o.Node].Inc()
+	case obs.EvHop:
+		c.np.LinkFlits[o.Flit.Pkt.Class()][c.m.LinkIndex(mesh.Link{From: mesh.NodeID(o.Node), Dir: o.Dir})].Inc()
+	case obs.EvStall:
+		switch o.Cause {
+		case obs.StallVCAlloc:
+			c.np.StallVCAlloc.Inc()
+		case obs.StallCredit:
+			c.np.StallCredit.Inc()
+		default:
+			c.np.StallRoute.Inc()
+		}
+	case obs.EvEjected:
+		c.np.EjFlits[o.Node].Inc()
+		if o.Flit.Tail {
+			c.np.PacketEjected(o.Flit.Pkt, o.Cycle)
+		}
 	}
 }
 
@@ -568,12 +595,6 @@ func (n *Network) injectNode(id int) {
 			q.vc = best
 			p.InjectedAt = n.cycle
 			n.stats.CountInjection(p)
-			if n.tracer != nil {
-				n.tracer.PacketInjected(p, n.cycle)
-			}
-			if n.spans != nil && p.Sampled {
-				n.spans.Injected(p, best, n.cycle)
-			}
 		}
 		ivc := &rt.in[mesh.Local][q.vc]
 		for budget > 0 && q.sent < p.Flits && ivc.buf.free() > 0 {
@@ -586,8 +607,8 @@ func (n *Network) injectNode(id int) {
 			q.flits--
 			budget--
 			n.moved = true
-			if n.tel != nil {
-				n.tel.InjFlits[id].Inc()
+			if n.observer != nil {
+				n.emit(obs.Observation{Kind: obs.EvInjected, Flit: f, Node: id, VC: q.vc, Cycle: n.cycle})
 			}
 		}
 		if q.sent < p.Flits {

@@ -94,7 +94,7 @@ func TestNetworkSpanProbesRecordJourney(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetSpans(sp)
+	n.Observe(sp)
 
 	p := mkPacket(1, packet.ReadRequest, 0, 63, 0)
 	if !n.Inject(p) {

@@ -258,10 +258,9 @@ func (n *Network) vcAllocate(rt *router) {
 			op.owner[ovc] = idx
 			rt.in[idx/V][idx%V].outVC = ovc
 			rt.vaReq--
-			if n.spans != nil {
-				if pkt := rt.in[idx/V][idx%V].buf.front().flit.Pkt; pkt.Sampled {
-					n.spans.VCGrant(pkt, int(rt.id), int(op.downNode), ovc, n.cycle)
-				}
+			if n.observer != nil {
+				n.emit(obs.Observation{Kind: obs.EvVCGrant, Flit: packet.Flit{Pkt: rt.in[idx/V][idx%V].buf.front().flit.Pkt},
+					Node: int(rt.id), To: int(op.downNode), VC: ovc, Cycle: n.cycle})
 			}
 			reqs[bestK] = -1 // granted; no second VC this cycle
 			rt.vaPtr[d] = idx + 1
@@ -357,20 +356,24 @@ func (n *Network) switchAllocateAndTraverse(rt *router) {
 			}
 		}
 	}
-	if n.tel != nil || n.spans != nil {
-		n.countStalls(rt, &movedVC)
+	if n.observer != nil {
+		n.observeStalls(rt, &movedVC)
 	}
 }
 
-// countStalls attributes, once per cycle per stalled input VC, why its front
-// flit did not move: no output VC granted (VC allocation), an allocated VC
-// with no downstream credits (credit), or a ready flit that lost the switch
-// or found the link register occupied (route). Flits still inside the
-// pipeline delay and ejection-blocked flits are not charged. The same
-// attribution feeds the aggregate telemetry counters and, for sampled
-// packets, the per-packet span events; observability-only — runs after SA
-// so "moved this cycle" is known exactly.
-func (n *Network) countStalls(rt *router, movedVC *[mesh.NumPorts]int) {
+// observeStalls attributes, once per cycle per stalled input VC, why its
+// front flit did not move: no output VC granted (VC allocation), an
+// allocated VC with no downstream credits (credit), or a ready flit that
+// lost the switch or found the link register occupied (route). Flits still
+// inside the pipeline delay and ejection-blocked flits are not charged. The
+// one stall event feeds the aggregate telemetry counters and the
+// per-packet spans; observability-only — runs after SA so "moved this
+// cycle" is known exactly.
+func (n *Network) observeStalls(rt *router, movedVC *[mesh.NumPorts]int) {
+	// A router's stall events differ only in packet and cause, and stalls
+	// are the most frequent event: stage the rest of the slot once.
+	ev := &n.ev
+	*ev = obs.Observation{Kind: obs.EvStall, Node: int(rt.id), Cycle: n.cycle}
 	for p := 0; p < mesh.NumPorts; p++ {
 		if rt.portFlits[p] == 0 {
 			continue
@@ -386,30 +389,16 @@ func (n *Network) countStalls(rt *router, movedVC *[mesh.NumPorts]int) {
 			if n.cycle < ivc.buf.frontArrived()+n.pipeDelay {
 				continue // still in the first pipeline stage
 			}
-			var cause obs.StallCause
 			switch {
 			case ivc.outVC == -1:
-				cause = obs.StallVCAlloc
+				ev.Cause = obs.StallVCAlloc
 			case rt.out[ivc.route].credits[ivc.outVC] == 0:
-				cause = obs.StallCredit
+				ev.Cause = obs.StallCredit
 			default:
-				cause = obs.StallRoute
+				ev.Cause = obs.StallRoute
 			}
-			if n.tel != nil {
-				switch cause {
-				case obs.StallVCAlloc:
-					n.tel.StallVCAlloc.Inc()
-				case obs.StallCredit:
-					n.tel.StallCredit.Inc()
-				default:
-					n.tel.StallRoute.Inc()
-				}
-			}
-			if n.spans != nil {
-				if pkt := ivc.buf.front().flit.Pkt; pkt.Sampled {
-					n.spans.Stall(pkt, int(rt.id), cause, n.cycle)
-				}
-			}
+			ev.Flit.Pkt = ivc.buf.front().flit.Pkt
+			n.observer.Observe(ev)
 		}
 	}
 }
@@ -445,20 +434,11 @@ func (n *Network) traverse(rt *router, p, v int, d mesh.Direction) bool {
 
 	if d == mesh.Local {
 		n.inFlight--
-		if n.tel != nil {
-			n.tel.EjFlits[rt.id].Inc()
-		}
 		if f.Tail {
 			n.stats.CountEjection(f.Pkt)
-			if n.tracer != nil {
-				n.tracer.PacketEjected(f.Pkt, n.cycle)
-			}
-			if n.tel != nil {
-				n.tel.PacketEjected(f.Pkt, n.cycle)
-			}
-			if n.spans != nil && f.Pkt.Sampled {
-				n.spans.Ejected(f.Pkt, n.cycle)
-			}
+		}
+		if n.observer != nil {
+			n.emit(obs.Observation{Kind: obs.EvEjected, Flit: f, Node: int(rt.id), Cycle: n.cycle})
 		}
 	} else {
 		op := &rt.out[d]
@@ -469,14 +449,9 @@ func (n *Network) traverse(rt *router, p, v int, d mesh.Direction) bool {
 		op.regReadyAt = n.cycle + n.linkPeriod - 1
 		rt.regCount++
 		n.stats.CountLink(mesh.Link{From: rt.id, Dir: d}, f.Pkt.Class())
-		if n.tracer != nil {
-			n.tracer.FlitHop(f, mesh.Link{From: rt.id, Dir: d}, n.cycle)
-		}
-		if n.tel != nil {
-			n.tel.LinkFlits[f.Pkt.Class()][n.m.LinkIndex(mesh.Link{From: rt.id, Dir: d})].Inc()
-		}
-		if n.spans != nil && f.Head && f.Pkt.Sampled {
-			n.spans.Hop(f.Pkt, int(rt.id), int(op.downNode), ivc.outVC, n.cycle)
+		if n.observer != nil {
+			n.emit(obs.Observation{Kind: obs.EvHop, Flit: f, Node: int(rt.id), To: int(op.downNode),
+				Dir: d, VC: ivc.outVC, Cycle: n.cycle})
 		}
 	}
 

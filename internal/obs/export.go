@@ -49,12 +49,15 @@ func (s *Spans) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadSpans parses a span JSONL stream written by WriteJSONL.
+// ReadSpans parses a span JSONL stream written by WriteJSONL. The header's
+// trace count is untrusted input: it is checked against the records read
+// (a truncated log is an error), never used to size an allocation.
 func ReadSpans(r io.Reader) (*SpanLog, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
 	var log *SpanLog
+	want := 0
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
@@ -69,7 +72,10 @@ func ReadSpans(r io.Reader) (*SpanLog, error) {
 			if h.Type != "spans" {
 				return nil, fmt.Errorf("obs: span log line %d: expected header type %q, got %q", line, "spans", h.Type)
 			}
-			log = &SpanLog{Seed: h.Seed, Rate: h.Rate, Traces: make([]*PacketTrace, 0, h.Traces)}
+			if h.Traces < 0 {
+				return nil, fmt.Errorf("obs: span log line %d: negative trace count %d", line, h.Traces)
+			}
+			log, want = &SpanLog{Seed: h.Seed, Rate: h.Rate}, h.Traces
 			continue
 		}
 		var l spanLine
@@ -87,6 +93,9 @@ func ReadSpans(r io.Reader) (*SpanLog, error) {
 	}
 	if log == nil {
 		return nil, fmt.Errorf("obs: span log is empty")
+	}
+	if len(log.Traces) != want {
+		return nil, fmt.Errorf("obs: span log header declares %d traces, log holds %d", want, len(log.Traces))
 	}
 	return log, nil
 }

@@ -1,9 +1,10 @@
-// Prometheus text exposition (version 0.0.4) rendered from the telemetry
-// registry. The renderer parses the probe naming scheme (DESIGN.md §8) and
-// re-expresses each probe family as a Prometheus metric with structured
-// labels — mesh coordinates for per-link and per-node probes, stall cause,
-// transaction kind/segment for the latency histograms — so a scrape of
-// /metrics is directly graphable without name munging.
+// Prometheus text exposition (version 0.0.4) rendered from a telemetry
+// registry. One renderer serves both probe naming schemes (DESIGN.md §8):
+// the simulator's, whose name mapper re-expresses each probe family with
+// structured labels — mesh coordinates for per-link and per-node probes,
+// stall cause, transaction kind/segment for the latency histograms — and
+// the sweep fleet's, whose mapper turns per-worker probes into a worker
+// label. A scrape of /metrics is directly graphable without name munging.
 
 package obs
 
@@ -138,6 +139,21 @@ func nodeLabels(m mesh.Mesh, key string, id int) []string {
 	}
 }
 
+// bytes renders the accumulated families. The output is deterministic:
+// families sorted by name, samples in insertion order.
+func (r *promRenderer) bytes() []byte {
+	sort.Slice(r.order, func(i, j int) bool { return r.order[i].name < r.order[j].name })
+	var buf bytes.Buffer
+	for _, f := range r.order {
+		fmt.Fprintf(&buf, "# HELP %s %s\n", f.name, f.help)
+		fmt.Fprintf(&buf, "# TYPE %s %s\n", f.name, f.typ)
+		for _, s := range f.samples {
+			fmt.Fprintf(&buf, "%s%s%s %s\n", f.name, s.suffix, s.labels, s.value)
+		}
+	}
+	return buf.Bytes()
+}
+
 // RenderPrometheus renders every probe in the registry as Prometheus text
 // exposition, labelling mesh-addressed probes with node coordinates. The
 // output is deterministic: families sorted by name, samples in probe
@@ -150,17 +166,79 @@ func RenderPrometheus(reg *telemetry.Registry, m mesh.Mesh) []byte {
 	reg.EachHistogram(func(name string, h *telemetry.Histogram) {
 		renderHistogram(r, name, h)
 	})
+	return r.bytes()
+}
 
-	sort.Slice(r.order, func(i, j int) bool { return r.order[i].name < r.order[j].name })
-	var buf bytes.Buffer
-	for _, f := range r.order {
-		fmt.Fprintf(&buf, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(&buf, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.samples {
-			fmt.Fprintf(&buf, "%s%s%s %s\n", f.name, s.suffix, s.labels, s.value)
+// RenderFleetPrometheus renders a sweep-fleet registry (coordinator or
+// worker) as Prometheus text. Probes named `fleet.<field>` become
+// `fleet_<field>` and `fleet.worker.<id>.<field>` become
+// `fleet_worker_<field>{worker="<id>"}`; counters gain a `_total` suffix
+// (a field already ending in `_total` keeps just one). Names outside the
+// scheme fall back to one `fleet_probe` family so a scrape never silently
+// drops data. Fleet registries hold no histograms.
+func RenderFleetPrometheus(reg *telemetry.Registry) []byte {
+	r := &promRenderer{byName: map[string]*promFamily{}}
+	reg.EachScalar(func(name string, kind telemetry.Kind, v int64) {
+		typ, suffix := "gauge", ""
+		if kind == telemetry.KindCounter {
+			typ, suffix = "counter", "_total"
 		}
+		if rest, ok := strings.CutPrefix(name, "fleet.worker."); ok {
+			if dot := strings.IndexByte(rest, '.'); dot > 0 {
+				worker, field := rest[:dot], rest[dot+1:]
+				r.add("fleet_worker_"+fleetField(field)+suffix, typ, fleetHelp(field), labelSet("worker", worker), v)
+				return
+			}
+		}
+		if field, ok := strings.CutPrefix(name, "fleet."); ok && !strings.ContainsRune(field, '.') {
+			r.add("fleet_"+fleetField(field)+suffix, typ, fleetHelp(field), "", v)
+			return
+		}
+		r.add("fleet_probe", typ, "Probes outside the fleet naming scheme.", labelSet("name", name), v)
+	})
+	return r.bytes()
+}
+
+// fleetField sanitizes a fleet probe field into a metric-name fragment,
+// dropping a trailing _total that the counter suffix would double.
+func fleetField(s string) string { return promName(strings.TrimSuffix(s, "_total")) }
+
+// fleetFieldHelp documents the known fleet probe fields.
+var fleetFieldHelp = map[string]string{
+	"submits":           "Sweep submissions accepted by the coordinator.",
+	"jobs":              "Jobs expanded across all sweeps.",
+	"queue_depth":       "Jobs currently waiting for a lease.",
+	"running":           "Jobs currently leased out.",
+	"done":              "Jobs with an accepted result record.",
+	"failed":            "Jobs quarantined as poison.",
+	"leases_granted":    "Leases granted to workers.",
+	"leases_expired":    "Leases that died unrenewed and were reclaimed.",
+	"heartbeats":        "Lease renewals received.",
+	"retries":           "Job attempts beyond the first.",
+	"quarantined":       "Poison-job quarantine events.",
+	"requeued":          "Jobs returned to the queue after a failed attempt.",
+	"store_hits":        "Jobs satisfied from the content-addressed result store.",
+	"store_misses":      "Jobs that missed the result store and must run.",
+	"workers":           "Workers ever registered with the coordinator.",
+	"jobs_done":         "Records accepted from this worker.",
+	"jobs_failed":       "Failed attempts reported by this worker.",
+	"lease_grants":      "Leases ever granted to this worker.",
+	"leases_held":       "Leases this worker currently holds.",
+	"heartbeat_age_ms":  "Milliseconds since this worker was last heard from.",
+	"leases_total":      "Leases this worker has taken.",
+	"batches_total":     "Lease batches this worker has completed.",
+	"jobs_ok_total":     "Jobs this worker ran successfully.",
+	"jobs_failed_total": "Jobs this worker ran that failed.",
+	"busy":              "1 while the worker is running a lease batch, else 0.",
+}
+
+// fleetHelp returns the help line for a fleet field; unknown fields get a
+// generic line rather than being dropped.
+func fleetHelp(field string) string {
+	if h, ok := fleetFieldHelp[field]; ok {
+		return h
 	}
-	return buf.Bytes()
+	return "Fleet probe " + field + "."
 }
 
 func renderScalar(r *promRenderer, m mesh.Mesh, name string, kind telemetry.Kind, v int64) {

@@ -3,12 +3,14 @@
 // opt-in HTTP exposition server (/metrics, /state, /progress, /healthz),
 // and snapshot types for publishing mesh state at cycle boundaries.
 //
-// Like telemetry, the whole package is opt-in and nil-gated: a simulation
-// without spans attached pays exactly one nil check per probe site, and a
-// simulation without a server attached pays one nil check per cycle. The
-// package sits below the simulator layers — it imports only mesh, packet,
-// and telemetry — so noc, mc, dram, and gpu can all depend on it without
-// cycles.
+// It also defines the simulator's one instrumentation event stream
+// (Observer, Observation, Tee) that telemetry counting, spans and the
+// packet-trace CSV subscribe to. Like telemetry, the whole package is
+// opt-in and nil-gated: an uninstrumented component pays one nil check per
+// event site, and a simulation without a server attached pays one nil
+// check per cycle. The package sits below the simulator layers — it
+// imports only mesh, packet, and telemetry — so noc, mc, dram, and gpu can
+// all depend on it without cycles.
 package obs
 
 import (
@@ -122,10 +124,10 @@ func (t *PacketTrace) Find(k EventKind) (Event, bool) {
 // with the same seed and rate trace exactly the same packets regardless of
 // wall-clock interleaving, and rate 1 traces every request.
 //
-// Request-class packets are sampled at injection (Offer); replies inherit
-// the request's decision when the memory controller links them (LinkReply).
-// Probe sites gate on Packet.Sampled before calling in, so un-sampled
-// packets cost one boolean test per site.
+// Spans is an Observer. Request-class packets are sampled when queued
+// (EvCreated); replies inherit the request's decision when the memory
+// controller links them (EvReply). Every other event costs an un-sampled
+// packet one boolean test.
 type Spans struct {
 	seed  uint64
 	rate  float64
@@ -192,15 +194,57 @@ func (s *Spans) start(p *packet.Packet, trace uint64) *PacketTrace {
 	return t
 }
 
-// Offer runs the sampling decision for a packet the network just accepted.
-// Request packets are hashed; replies are traced only via LinkReply. A
-// packet already marked Sampled (a linked reply, or a re-offer) is left
-// alone.
-func (s *Spans) Offer(p *packet.Packet) {
-	if p.Sampled {
+// Observe implements Observer. A queued packet gets its sampling decision
+// (requests are hashed; replies are traced only through their request's
+// EvReply link); every other kind is recorded only for packets already
+// sampled, and the flit-level kinds only at packet granularity: injection
+// and hops on the head flit, ejection on the tail flit.
+func (s *Spans) Observe(o *Observation) {
+	p := o.Flit.Pkt
+	switch {
+	case o.Kind == EvCreated:
+		s.offer(p)
+		return
+	case !p.Sampled:
+		return
+	case o.Kind == EvReply:
+		s.linkReply(p, o.Reply, o.Cycle)
+		return
+	case o.Kind == EvInjected, o.Kind == EvHop:
+		if !o.Flit.Head {
+			return
+		}
+	case o.Kind == EvEjected:
+		if !o.Flit.Tail {
+			return
+		}
+	}
+	t := s.byID[p.ID]
+	if t == nil {
+		return // a reply whose Sampled bit was set without an EvReply link
+	}
+	if o.Kind == EvStall {
+		// Consecutive stalls with the same node and cause collapse into one
+		// event with N counting the cycles: a packet stuck for 50 cycles
+		// costs one event, not 50.
+		if n := len(t.Events); n > 0 {
+			last := &t.Events[n-1]
+			if last.Kind == EvStall && last.Node == o.Node && last.Cause == o.Cause {
+				last.N++
+				return
+			}
+		}
+		t.Events = append(t.Events, Event{Kind: EvStall, Cycle: o.Cycle, Node: o.Node, Cause: o.Cause, N: 1})
 		return
 	}
-	if p.Class() != packet.Request || !s.sampled(p.ID) {
+	t.Events = append(t.Events, Event{Kind: o.Kind, Cycle: o.Cycle, Node: o.Node, To: o.To, VC: o.VC, Bank: o.Bank, Hit: o.Hit})
+}
+
+// offer runs the sampling decision for a packet the network just accepted.
+// A packet already marked Sampled (a linked reply, or a re-offer) is left
+// alone.
+func (s *Spans) offer(p *packet.Packet) {
+	if p.Sampled || p.Class() != packet.Request || !s.sampled(p.ID) {
 		return
 	}
 	p.Sampled = true
@@ -208,11 +252,10 @@ func (s *Spans) Offer(p *packet.Packet) {
 	t.Events = append(t.Events, Event{Kind: EvCreated, Cycle: p.CreatedAt, Node: p.Src})
 }
 
-// LinkReply marks the reply of a sampled request as sampled, starts its
+// linkReply marks the reply of a sampled request as sampled, starts its
 // trace under the request's transaction ID, and records the handoff on the
-// request's trace. Call from the memory controller when the reply packet is
-// created; cycle is the creation cycle.
-func (s *Spans) LinkReply(req, rep *packet.Packet, cycle int64) {
+// request's trace at the reply's creation cycle.
+func (s *Spans) linkReply(req, rep *packet.Packet, cycle int64) {
 	rt := s.byID[req.ID]
 	if rt == nil {
 		return
@@ -221,88 +264,6 @@ func (s *Spans) LinkReply(req, rep *packet.Packet, cycle int64) {
 	t := s.start(rep, rt.Trace)
 	t.Events = append(t.Events, Event{Kind: EvCreated, Cycle: cycle, Node: rep.Src})
 	rt.Events = append(rt.Events, Event{Kind: EvReply, Cycle: cycle, Node: rep.Src, Reply: rep.ID})
-}
-
-// trace returns the trace for a sampled packet, or nil (e.g. a reply whose
-// request was never sampled but whose Sampled bit was copied anyway).
-func (s *Spans) trace(p *packet.Packet) *PacketTrace {
-	return s.byID[p.ID]
-}
-
-// Injected records the head flit entering the network through local VC vc.
-func (s *Spans) Injected(p *packet.Packet, vc int, cycle int64) {
-	if t := s.trace(p); t != nil {
-		t.Events = append(t.Events, Event{Kind: EvInjected, Cycle: cycle, Node: p.Src, VC: vc})
-	}
-}
-
-// VCGrant records winning VC allocation at router node toward downstream
-// node to, on virtual channel vc.
-func (s *Spans) VCGrant(p *packet.Packet, node, to, vc int, cycle int64) {
-	if t := s.trace(p); t != nil {
-		t.Events = append(t.Events, Event{Kind: EvVCGrant, Cycle: cycle, Node: node, To: to, VC: vc})
-	}
-}
-
-// Hop records the head flit crossing the link node->to on VC vc.
-func (s *Spans) Hop(p *packet.Packet, node, to, vc int, cycle int64) {
-	if t := s.trace(p); t != nil {
-		t.Events = append(t.Events, Event{Kind: EvHop, Cycle: cycle, Node: node, To: to, VC: vc})
-	}
-}
-
-// Stall charges one switch-allocation stall cycle at router node to the
-// packet at the head of an input VC. Consecutive stalls with the same node
-// and cause collapse into one event with N counting the cycles — a packet
-// stuck for 50 cycles costs one event, not 50.
-func (s *Spans) Stall(p *packet.Packet, node int, cause StallCause, cycle int64) {
-	t := s.trace(p)
-	if t == nil {
-		return
-	}
-	if n := len(t.Events); n > 0 {
-		last := &t.Events[n-1]
-		if last.Kind == EvStall && last.Node == node && last.Cause == cause {
-			last.N++
-			return
-		}
-	}
-	t.Events = append(t.Events, Event{Kind: EvStall, Cycle: cycle, Node: node, Cause: cause, N: 1})
-}
-
-// Ejected records the tail flit leaving the network at the destination.
-func (s *Spans) Ejected(p *packet.Packet, cycle int64) {
-	if t := s.trace(p); t != nil {
-		t.Events = append(t.Events, Event{Kind: EvEjected, Cycle: cycle, Node: p.Dst})
-	}
-}
-
-// MCService records the memory controller's L2 lookup for a request.
-func (s *Spans) MCService(p *packet.Packet, node int, l2Hit bool, cycle int64) {
-	if t := s.trace(p); t != nil {
-		t.Events = append(t.Events, Event{Kind: EvMCService, Cycle: cycle, Node: node, Hit: l2Hit})
-	}
-}
-
-// DRAMQueued records the request entering the DRAM command queue.
-func (s *Spans) DRAMQueued(p *packet.Packet, node int, cycle int64) {
-	if t := s.trace(p); t != nil {
-		t.Events = append(t.Events, Event{Kind: EvDRAMQueued, Cycle: cycle, Node: node})
-	}
-}
-
-// DRAMIssue records the DRAM issuing the command for the request.
-func (s *Spans) DRAMIssue(p *packet.Packet, node, bank int, rowHit bool, cycle int64) {
-	if t := s.trace(p); t != nil {
-		t.Events = append(t.Events, Event{Kind: EvDRAMIssue, Cycle: cycle, Node: node, Bank: bank, Hit: rowHit})
-	}
-}
-
-// DRAMDone records the DRAM burst completing for the request.
-func (s *Spans) DRAMDone(p *packet.Packet, node int, cycle int64) {
-	if t := s.trace(p); t != nil {
-		t.Events = append(t.Events, Event{Kind: EvDRAMDone, Cycle: cycle, Node: node})
-	}
 }
 
 // Transaction pairs a sampled request trace with its reply and decomposes

@@ -14,6 +14,28 @@ func reqPacket(id uint64, src, dst int) *packet.Packet {
 		Flits: packet.Length(packet.ReadRequest)}
 }
 
+// whole is a single-flit view of p: head and tail at once, so the
+// flit-level kinds record at packet granularity.
+func whole(p *packet.Packet) packet.Flit { return packet.Flit{Pkt: p, Head: true, Tail: true} }
+
+func offer(s *Spans, p *packet.Packet) { s.Observe(&Observation{Kind: EvCreated, Flit: whole(p)}) }
+
+func injected(s *Spans, p *packet.Packet, vc int, cycle int64) {
+	s.Observe(&Observation{Kind: EvInjected, Flit: whole(p), Node: p.Src, VC: vc, Cycle: cycle})
+}
+
+func ejected(s *Spans, p *packet.Packet, cycle int64) {
+	s.Observe(&Observation{Kind: EvEjected, Flit: whole(p), Node: p.Dst, Cycle: cycle})
+}
+
+func stall(s *Spans, p *packet.Packet, node int, cause StallCause, cycle int64) {
+	s.Observe(&Observation{Kind: EvStall, Flit: whole(p), Node: node, Cause: cause, Cycle: cycle})
+}
+
+func linkReply(s *Spans, req, rep *packet.Packet, cycle int64) {
+	s.Observe(&Observation{Kind: EvReply, Flit: whole(req), Reply: rep, Node: rep.Src, Cycle: cycle})
+}
+
 func TestNewSpansRejectsBadRates(t *testing.T) {
 	for _, rate := range []float64{-0.1, 1.1, 2} {
 		if _, err := NewSpans(1, rate); err == nil {
@@ -78,17 +100,17 @@ func TestSamplingRateExtremes(t *testing.T) {
 func TestOfferSamplesOnlyRequests(t *testing.T) {
 	s, _ := NewSpans(1, 1)
 	req := reqPacket(10, 0, 56)
-	s.Offer(req)
+	offer(s, req)
 	if !req.Sampled || s.NumTraces() != 1 {
 		t.Fatalf("request at rate 1 not traced: sampled=%v traces=%d", req.Sampled, s.NumTraces())
 	}
 	rep := &packet.Packet{ID: 11, Type: packet.ReadReply, Src: 56, Dst: 0}
-	s.Offer(rep)
+	offer(s, rep)
 	if rep.Sampled || s.NumTraces() != 1 {
 		t.Fatalf("reply offered directly must not be traced: sampled=%v traces=%d", rep.Sampled, s.NumTraces())
 	}
 	// Re-offering the same packet must not duplicate the trace.
-	s.Offer(req)
+	offer(s, req)
 	if s.NumTraces() != 1 {
 		t.Fatalf("re-offer duplicated the trace: %d", s.NumTraces())
 	}
@@ -97,12 +119,12 @@ func TestOfferSamplesOnlyRequests(t *testing.T) {
 func TestStallAggregation(t *testing.T) {
 	s, _ := NewSpans(1, 1)
 	p := reqPacket(3, 0, 8)
-	s.Offer(p)
+	offer(s, p)
 	for c := int64(10); c < 15; c++ {
-		s.Stall(p, 4, StallCredit, c)
+		stall(s, p, 4, StallCredit, c)
 	}
-	s.Stall(p, 4, StallVCAlloc, 15) // cause change breaks the run
-	s.Stall(p, 5, StallVCAlloc, 16) // node change breaks the run
+	stall(s, p, 4, StallVCAlloc, 15) // cause change breaks the run
+	stall(s, p, 5, StallVCAlloc, 16) // node change breaks the run
 	tr := s.Traces()[0]
 	var stalls []Event
 	for _, e := range tr.Events {
@@ -125,17 +147,17 @@ func TestLinkReplyAndTransactions(t *testing.T) {
 	s, _ := NewSpans(1, 1)
 	req := reqPacket(20, 3, 56)
 	req.CreatedAt = 100
-	s.Offer(req)
-	s.Injected(req, 0, 110)
-	s.Ejected(req, 150)
+	offer(s, req)
+	injected(s, req, 0, 110)
+	ejected(s, req, 150)
 
 	rep := &packet.Packet{ID: 20 | 1<<63, Type: packet.ReadReply, Src: 56, Dst: 3}
-	s.LinkReply(req, rep, 150)
+	linkReply(s, req, rep, 150)
 	if !rep.Sampled {
-		t.Fatal("LinkReply must mark the reply sampled")
+		t.Fatal("the reply link must mark the reply sampled")
 	}
-	s.Injected(rep, 1, 400)
-	s.Ejected(rep, 440)
+	injected(s, rep, 1, 400)
+	ejected(s, rep, 440)
 
 	xs := s.Transactions()
 	if len(xs) != 1 {
@@ -160,9 +182,9 @@ func TestLinkReplyAndTransactions(t *testing.T) {
 func TestLinkReplyUnsampledRequestIsNoop(t *testing.T) {
 	s, _ := NewSpans(1, 0)
 	req := reqPacket(5, 0, 56)
-	s.Offer(req) // rate 0: not sampled
+	offer(s, req) // rate 0: not sampled
 	rep := &packet.Packet{ID: 5 | 1<<63, Type: packet.ReadReply, Src: 56, Dst: 0}
-	s.LinkReply(req, rep, 10)
+	linkReply(s, req, rep, 10)
 	if rep.Sampled || s.NumTraces() != 0 {
 		t.Fatalf("reply of unsampled request traced: sampled=%v traces=%d", rep.Sampled, s.NumTraces())
 	}
@@ -173,21 +195,21 @@ func buildTracedPair(t *testing.T) *Spans {
 	t.Helper()
 	s, _ := NewSpans(9, 1)
 	req := reqPacket(1, 0, 56)
-	s.Offer(req)
-	s.Injected(req, 0, 2)
-	s.VCGrant(req, 0, 8, 0, 2)
-	s.Hop(req, 0, 8, 0, 4)
-	s.Stall(req, 8, StallVCAlloc, 5)
-	s.Hop(req, 8, 56, 0, 8)
-	s.Ejected(req, 10)
-	s.MCService(req, 56, false, 10)
-	s.DRAMQueued(req, 56, 10)
-	s.DRAMIssue(req, 56, 3, true, 12)
-	s.DRAMDone(req, 56, 232)
+	offer(s, req)
+	injected(s, req, 0, 2)
+	s.Observe(&Observation{Kind: EvVCGrant, Flit: whole(req), Node: 0, To: 8, VC: 0, Cycle: 2})
+	s.Observe(&Observation{Kind: EvHop, Flit: whole(req), Node: 0, To: 8, VC: 0, Cycle: 4})
+	stall(s, req, 8, StallVCAlloc, 5)
+	s.Observe(&Observation{Kind: EvHop, Flit: whole(req), Node: 8, To: 56, VC: 0, Cycle: 8})
+	ejected(s, req, 10)
+	s.Observe(&Observation{Kind: EvMCService, Flit: whole(req), Node: 56, Hit: false, Cycle: 10})
+	s.Observe(&Observation{Kind: EvDRAMQueued, Flit: whole(req), Node: 56, Cycle: 10})
+	s.Observe(&Observation{Kind: EvDRAMIssue, Flit: whole(req), Node: 56, Bank: 3, Hit: true, Cycle: 12})
+	s.Observe(&Observation{Kind: EvDRAMDone, Flit: whole(req), Node: 56, Cycle: 232})
 	rep := &packet.Packet{ID: 1 | 1<<63, Type: packet.ReadReply, Src: 56, Dst: 0, Flits: packet.Length(packet.ReadReply)}
-	s.LinkReply(req, rep, 232)
-	s.Injected(rep, 0, 233)
-	s.Ejected(rep, 250)
+	linkReply(s, req, rep, 232)
+	injected(s, rep, 0, 233)
+	ejected(s, rep, 250)
 	return s
 }
 
@@ -233,6 +255,18 @@ func TestReadSpansRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadSpans(strings.NewReader("{\"type\":\"spans\"}\nnot-json\n")); err == nil {
 		t.Error("bad record line: want error")
+	}
+	// The header's count must neither size an allocation nor go unchecked:
+	// a negative count used to panic in makeslice, a huge one to exhaust
+	// memory, and a count the records do not match is a truncated log.
+	for _, in := range []string{
+		`{"type":"spans","seed":1,"rate":1,"traces":-1}`,
+		`{"type":"spans","seed":1,"rate":1,"traces":4000000000000}`,
+		"{\"type\":\"spans\",\"traces\":2}\n{\"type\":\"packet\",\"id\":1,\"events\":[]}\n",
+	} {
+		if _, err := ReadSpans(strings.NewReader(in)); err == nil {
+			t.Errorf("header %q: want error", in)
+		}
 	}
 }
 

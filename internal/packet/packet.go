@@ -133,10 +133,10 @@ type Packet struct {
 	ReqTimed      bool
 
 	// Sampled marks the packet as selected by the observability span
-	// sampler (internal/obs): probe sites record lifecycle events only
-	// for sampled packets, so an unsampled packet costs one boolean test
-	// per site. Replies inherit the request's decision at the memory
-	// controller. Purely observational — nothing in the simulation reads
+	// sampler (internal/obs): the span collector records lifecycle events
+	// only for sampled packets, so an unsampled packet costs it one
+	// boolean test per event. Replies inherit the request's decision at
+	// the memory controller. Purely observational — nothing in the simulation reads
 	// it.
 	Sampled bool
 }

@@ -7,7 +7,8 @@
 // The subsystem is opt-in and built for a zero-allocation hot path: probe
 // sites hold pointers obtained once at registration, incrementing a probe is
 // a plain int64 field update, and an un-instrumented component pays exactly
-// one nil check per site (the same pattern as noc.Network.SetTracer).
+// one nil check per event site (the fabric feeds its counters through one
+// obs.Observer subscription).
 // Instantaneous levels — VC occupancy, queue depths — are registered as
 // GaugeFuncs read only when the sampler fires, so they cost nothing between
 // epochs.

@@ -3,8 +3,9 @@
 // in-memory collector with latency/path analysis used by tests and the
 // traceview tool.
 //
-// Tracing is opt-in (noc.Network.SetTracer); a disabled tracer costs one nil
-// check per event site.
+// Both are obs.Observer subscribers to the fabric's event stream (subscribe
+// with noc.Interconnect.Observe); they keep the packet injections, every
+// flit hop, and the packet ejections.
 package trace
 
 import (
@@ -14,6 +15,7 @@ import (
 	"sort"
 
 	"gpgpunoc/internal/mesh"
+	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 )
 
@@ -44,7 +46,7 @@ type Event struct {
 	Link   mesh.Link // valid for Hop events
 }
 
-// CSVWriter streams events as CSV rows; it implements noc.Tracer.
+// CSVWriter streams events as CSV rows; it is an obs.Observer.
 type CSVWriter struct {
 	w   *bufio.Writer
 	err error
@@ -65,19 +67,17 @@ func (cw *CSVWriter) row(cycle int64, kind Kind, p *packet.Packet, seq int, link
 		cycle, kind, p.ID, p.Type, p.Src, p.Dst, seq, link)
 }
 
-// PacketInjected implements noc.Tracer.
-func (cw *CSVWriter) PacketInjected(p *packet.Packet, cycle int64) {
-	cw.row(cycle, Injected, p, 0, ",")
-}
-
-// FlitHop implements noc.Tracer.
-func (cw *CSVWriter) FlitHop(f packet.Flit, l mesh.Link, cycle int64) {
-	cw.row(cycle, Hop, f.Pkt, f.Seq, fmt.Sprintf("%d,%s", int(l.From), l.Dir))
-}
-
-// PacketEjected implements noc.Tracer.
-func (cw *CSVWriter) PacketEjected(p *packet.Packet, cycle int64) {
-	cw.row(cycle, Ejected, p, p.Flits-1, ",")
+// Observe implements obs.Observer.
+func (cw *CSVWriter) Observe(o *obs.Observation) {
+	p := o.Flit.Pkt
+	switch {
+	case o.Kind == obs.EvInjected && o.Flit.Head:
+		cw.row(o.Cycle, Injected, p, 0, ",")
+	case o.Kind == obs.EvHop:
+		cw.row(o.Cycle, Hop, p, o.Flit.Seq, fmt.Sprintf("%d,%s", o.Node, o.Dir))
+	case o.Kind == obs.EvEjected && o.Flit.Tail:
+		cw.row(o.Cycle, Ejected, p, p.Flits-1, ",")
+	}
 }
 
 // Flush drains buffered rows and reports the first write error.
@@ -88,7 +88,7 @@ func (cw *CSVWriter) Flush() error {
 	return cw.w.Flush()
 }
 
-// Collector retains events in memory; it implements noc.Tracer.
+// Collector retains events in memory; it is an obs.Observer.
 type Collector struct {
 	Events []Event
 	// HopsOnly limits collection to Hop events when set (packet events are
@@ -96,29 +96,25 @@ type Collector struct {
 	HopsOnly bool
 }
 
-// PacketInjected implements noc.Tracer.
-func (c *Collector) PacketInjected(p *packet.Packet, cycle int64) {
-	if c.HopsOnly {
+// Observe implements obs.Observer. An ejection's Seq carries the tail flit
+// index, matching the CSV form so parsed and live collectors are
+// interchangeable.
+func (c *Collector) Observe(o *obs.Observation) {
+	p := o.Flit.Pkt
+	e := Event{Cycle: o.Cycle, Packet: p.ID, Type: p.Type, Src: p.Src, Dst: p.Dst}
+	switch {
+	case o.Kind == obs.EvHop:
+		e.Kind, e.Seq, e.Link = Hop, o.Flit.Seq, mesh.Link{From: mesh.NodeID(o.Node), Dir: o.Dir}
+	case c.HopsOnly:
+		return
+	case o.Kind == obs.EvInjected && o.Flit.Head:
+		e.Kind = Injected
+	case o.Kind == obs.EvEjected && o.Flit.Tail:
+		e.Kind, e.Seq = Ejected, p.Flits-1
+	default:
 		return
 	}
-	c.Events = append(c.Events, Event{Cycle: cycle, Kind: Injected, Packet: p.ID,
-		Type: p.Type, Src: p.Src, Dst: p.Dst})
-}
-
-// FlitHop implements noc.Tracer.
-func (c *Collector) FlitHop(f packet.Flit, l mesh.Link, cycle int64) {
-	c.Events = append(c.Events, Event{Cycle: cycle, Kind: Hop, Packet: f.Pkt.ID,
-		Type: f.Pkt.Type, Src: f.Pkt.Src, Dst: f.Pkt.Dst, Seq: f.Seq, Link: l})
-}
-
-// PacketEjected implements noc.Tracer. Seq carries the tail flit index,
-// matching the CSV form so parsed and live collectors are interchangeable.
-func (c *Collector) PacketEjected(p *packet.Packet, cycle int64) {
-	if c.HopsOnly {
-		return
-	}
-	c.Events = append(c.Events, Event{Cycle: cycle, Kind: Ejected, Packet: p.ID,
-		Type: p.Type, Src: p.Src, Dst: p.Dst, Seq: p.Flits - 1})
+	c.Events = append(c.Events, e)
 }
 
 // Latency is an end-to-end packet observation.

@@ -7,6 +7,7 @@ import (
 	"gpgpunoc/internal/config"
 	"gpgpunoc/internal/mesh"
 	"gpgpunoc/internal/noc"
+	"gpgpunoc/internal/obs"
 	"gpgpunoc/internal/packet"
 	"gpgpunoc/internal/routing"
 	"gpgpunoc/internal/vc"
@@ -21,7 +22,7 @@ func traced(t *testing.T) (*noc.Network, *Collector) {
 		n.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
 	}
 	c := &Collector{}
-	n.SetTracer(c)
+	n.Observe(c)
 	return n, c
 }
 
@@ -114,7 +115,7 @@ func TestHopsOnlyMode(t *testing.T) {
 		n.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
 	}
 	c := &Collector{HopsOnly: true}
-	n.SetTracer(c)
+	n.Observe(c)
 	send(n, 1, packet.ReadRequest, 0, 63)
 	n.Drain(1000)
 	for _, e := range c.Events {
@@ -132,7 +133,7 @@ func TestCSVWriter(t *testing.T) {
 	}
 	var b strings.Builder
 	cw := NewCSVWriter(&b)
-	n.SetTracer(cw)
+	n.Observe(cw)
 	send(n, 9, packet.ReadRequest, 0, 1)
 	n.Drain(1000)
 	if err := cw.Flush(); err != nil {
@@ -166,7 +167,7 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 			n.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
 		}
 		if traceOn {
-			n.SetTracer(&Collector{})
+			n.Observe(&Collector{})
 		}
 		for i := uint64(0); i < 50; i++ {
 			send(n, i+1, packet.ReadReply, int(i%56), 56+int(i%8))
@@ -190,7 +191,7 @@ func TestParseCSVRoundTrip(t *testing.T) {
 	var b strings.Builder
 	cw := NewCSVWriter(&b)
 	live := &Collector{}
-	n.SetTracer(multiTracer{cw, live})
+	n.Observe(obs.Tee{cw, live})
 	send(n, 1, packet.ReadReply, 0, 63)
 	send(n, 2, packet.WriteRequest, 10, 60)
 	n.Drain(2000)
@@ -246,25 +247,48 @@ func TestParseCSVErrors(t *testing.T) {
 	}
 }
 
-// multiTracer fans events out to several tracers.
-type multiTracer []interface {
-	PacketInjected(p *packet.Packet, cycle int64)
-	FlitHop(f packet.Flit, l mesh.Link, cycle int64)
-	PacketEjected(p *packet.Packet, cycle int64)
-}
-
-func (m multiTracer) PacketInjected(p *packet.Packet, cycle int64) {
-	for _, t := range m {
-		t.PacketInjected(p, cycle)
+// TestCSVOnDual traces a two-subnet fabric: one subscription observes both
+// subnets, so requests (request subnet) and replies (reply subnet) land in
+// one CSV that parses back to the live collector's events.
+func TestCSVOnDual(t *testing.T) {
+	cfg := config.Default().NoC
+	cfg.PhysicalSubnets = true
+	d := noc.NewDual(cfg, routing.MustNew(cfg.Routing))
+	for i := 0; i < 64; i++ {
+		d.SetSink(mesh.NodeID(i), func(packet.Flit) bool { return true })
 	}
-}
-func (m multiTracer) FlitHop(f packet.Flit, l mesh.Link, cycle int64) {
-	for _, t := range m {
-		t.FlitHop(f, l, cycle)
+	var b strings.Builder
+	cw := NewCSVWriter(&b)
+	live := &Collector{}
+	d.Observe(obs.Tee{cw, live})
+	for i, typ := range []packet.Type{packet.ReadRequest, packet.ReadReply, packet.WriteRequest, packet.WriteReply} {
+		p := &packet.Packet{ID: uint64(i + 1), Type: typ, Src: i, Dst: 63 - i, Flits: packet.Length(typ)}
+		if !d.Inject(p) {
+			t.Fatalf("inject %s refused", typ)
+		}
 	}
-}
-func (m multiTracer) PacketEjected(p *packet.Packet, cycle int64) {
-	for _, t := range m {
-		t.PacketEjected(p, cycle)
+	for i := 0; i < 1000 && d.FlitsInFlight() > 0; i++ {
+		d.Step()
+	}
+	if d.FlitsInFlight() != 0 {
+		t.Fatal("packets stuck")
+	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseCSV(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parsed.Events) != len(live.Events) {
+		t.Fatalf("parsed %d events, live saw %d", len(parsed.Events), len(live.Events))
+	}
+	for i := range parsed.Events {
+		if parsed.Events[i] != live.Events[i] {
+			t.Fatalf("event %d differs:\nparsed %+v\nlive   %+v", i, parsed.Events[i], live.Events[i])
+		}
+	}
+	if lat := parsed.Latencies(); len(lat) != 4 {
+		t.Fatalf("%d delivered packets traced, want all 4 (both subnets)", len(lat))
 	}
 }

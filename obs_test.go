@@ -32,13 +32,13 @@ func obsCfg() config.Config {
 	return cfg
 }
 
-func newSim(t *testing.T, cfg config.Config, bench string, inst gpu.Instrumentation) *gpu.Simulator {
+func newSim(t *testing.T, cfg config.Config, bench string, opts gpu.RunOptions) *gpu.Simulator {
 	t.Helper()
 	prof, err := workload.Get(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := gpu.NewInstrumented(cfg, prof, inst)
+	sim, err := gpu.NewInstrumented(cfg, prof, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +54,10 @@ func TestSpanRateZeroMatchesDisabled(t *testing.T) {
 	cfg.Placement = config.PlacementBottom
 	cfg.NoC.Routing = config.RoutingYX
 
-	plain := newSim(t, cfg, "KMN", gpu.Instrumentation{})
+	plain := newSim(t, cfg, "KMN", gpu.RunOptions{})
 	resPlain := plain.Run()
 
-	traced := newSim(t, cfg, "KMN", gpu.Instrumentation{Spans: true})
+	traced := newSim(t, cfg, "KMN", gpu.RunOptions{Spans: true})
 	resTraced := traced.Run()
 
 	if resPlain.IPC != resTraced.IPC {
@@ -80,7 +80,7 @@ func TestSpanRateZeroMatchesDisabled(t *testing.T) {
 // same four segments from recorded event cycles. Count and sum must agree
 // exactly, per transaction kind and segment.
 func TestSpanSegmentsMatchTelemetry(t *testing.T) {
-	sim := newSim(t, obsCfg(), "KMN", gpu.Instrumentation{TelemetryEpoch: 400, Spans: true, SpanRate: 1})
+	sim := newSim(t, obsCfg(), "KMN", gpu.RunOptions{TelemetryEpoch: 400, Spans: true, SpanRate: 1})
 	tel := sim.Tel
 	res := sim.Run()
 
@@ -137,7 +137,7 @@ func TestObsEndpointsMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	sim := newSim(t, cfg, "KMN", gpu.Instrumentation{Obs: srv, PublishEvery: 200})
+	sim := newSim(t, cfg, "KMN", gpu.RunOptions{Obs: srv, PublishEvery: 200})
 	base := "http://" + srv.Addr()
 
 	done := make(chan gpu.Result, 1)
